@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Protocol, Sequence, Union
 
 from ._numeric import Number
-from .events import EventSystem
+from .events import EventSystem, per_event_moments, power_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
 
@@ -70,38 +70,13 @@ class ExplicitSequence:
         return self.system.prefix(n)
 
     def window_moments(self, m: int, n: int) -> list[tuple[Number, Number, Number]]:
-        system = self.system
-        counts = [0] * system.n_atoms
-        for event in system.events[m - 1 : n]:
-            for atom in event:
-                counts[atom] += 1
-        rows = []
-        for event in system.events[m - 1 : n]:
-            p = Fraction(0)
-            e1 = Fraction(0)
-            e2 = Fraction(0)
-            for atom in event:
-                weight = system.weights[atom]
-                count = counts[atom]
-                p += weight
-                e1 += weight * count
-                e2 += weight * count * count
-            rows.append((p, e1, e2))
-        return rows
+        # (p, e1, e2) are the per-event moments sbar_0..sbar_2 at a = rho = 1.
+        window = EventSystem(self.system.weights, self.system.events[m - 1 : n])
+        return list(zip(*per_event_moments(window, 1, 1, ell=3).sbar))
 
     def alpha_moments(self, n: int) -> tuple[Number, Number]:
-        system = self.prefix_system(n)
-        alpha1 = Fraction(0)
-        alpha2 = Fraction(0)
-        counts = [0] * system.n_atoms
-        for event in system.events:
-            for atom in event:
-                counts[atom] += 1
-        for weight, count in zip(system.weights, counts):
-            if count:
-                alpha1 += weight * count
-                alpha2 += weight * count * count
-        return alpha1, alpha2
+        prefix = self.prefix_system(n)
+        return power_moments(prefix, 1), power_moments(prefix, 2)
 
 
 class IndependentSequence:

@@ -32,7 +32,6 @@ from ._numeric import (
 )
 
 DEFAULT_INEQUALITY_TOLERANCE = 1e-9
-DEFAULT_REPRODUCTION_TOLERANCE = 1e-12
 INTEGER_SNAP = 1e-9
 TOLERANCE_ENV_VAR = "UNION_BOUNDS_TOL"
 

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Sequence
 
@@ -120,14 +121,27 @@ def serialize_system(system: EventSystem) -> str:
 
 
 def write_text(path: str | None, text: str) -> None:
-    """Write atomically via a sibling temp file; '-' or None means stdout."""
+    """Write atomically via a unique sibling temp file; '-' or None means stdout.
+
+    On failure the temp file is removed and the target is left as it was."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    temp = f"{path}.tmp"
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(temp, path)
+    directory, name = os.path.split(path)
+    fd, temp = tempfile.mkstemp(
+        prefix=f"{name}.", suffix=".tmp", dir=directory or "."
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        # mkstemp creates the file 0600; keep the mode a plain open() gives.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

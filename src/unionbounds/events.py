@@ -8,6 +8,7 @@ as the ground-truth oracle in tests.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,8 @@ from typing import Iterable
 
 from ._numeric import Number, integral_value, rpow
 from .bounds import ExponentParams, MomentVector
+
+JointRow = tuple[tuple[int, int], ...]  # (level i, D * P(xi = i, A_k)) pairs
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class EventSystem:
             out.append(mask)
         return tuple(out)
 
-    @cached_property
+    @property
     def occupancy_counts(self) -> tuple[int, ...]:
         """How many events cover each atom."""
         counts = [0] * self.n_atoms
@@ -57,6 +60,29 @@ class EventSystem:
             for atom in event:
                 counts[atom] += 1
         return tuple(counts)
+
+    @cached_property
+    def joint_table(self) -> tuple[int, tuple[int, ...], tuple[JointRow, ...]]:
+        """(D, levels, rows): the joint table P(xi = i, A_k) in integers.
+
+        D is the common weight denominator, levels[i] = D * P(xi = i) for
+        i = 0..N, and rows[k] holds (i, D * P(xi = i, A_k)) only for the
+        levels i that event k hits. Every per-system statistic reads it.
+        """
+        counts = self.occupancy_counts
+        denominator = math.lcm(*(w.denominator for w in self.weights))
+        numerators = [w.numerator * denominator // w.denominator for w in self.weights]
+        levels = [0] * (self.n_events + 1)
+        for count, numerator in zip(counts, numerators):
+            levels[count] += numerator
+        rows = []
+        for event in self.events:
+            row: dict[int, int] = {}
+            for atom in event:
+                level = counts[atom]
+                row[level] = row.get(level, 0) + numerators[atom]
+            rows.append(tuple(row.items()))
+        return denominator, tuple(levels), tuple(rows)
 
     def event_probability(self, k: int) -> Fraction:
         """P(A_k) for the 0-based event position k."""
@@ -94,6 +120,7 @@ def build_system(
     Event atom lists are deduplicated, sorted and range-checked.
     """
     parsed = []
+    interned: dict[tuple[int, int], Fraction] = {}  # one object per equal weight
     for pos, raw in enumerate(weights):
         try:
             value = Fraction(raw)  # type: ignore[arg-type]
@@ -101,7 +128,7 @@ def build_system(
             raise ValueError(f"weight {pos}: cannot parse {raw!r}") from exc
         if value < 0:
             raise ValueError(f"weight {pos} is negative: {value}")
-        parsed.append(value)
+        parsed.append(interned.setdefault(value.as_integer_ratio(), value))
     total = sum(parsed, Fraction(0))
     if total != 1:
         raise ValueError(f"weights sum {total} != 1")
@@ -118,15 +145,9 @@ def build_system(
 
 
 def exact_union_probability(system: EventSystem) -> Fraction:
-    """P(A_1 u ... u A_N), summed over atoms covered at least once."""
-    return sum(
-        (
-            weight
-            for weight, count in zip(system.weights, system.occupancy_counts)
-            if count
-        ),
-        Fraction(0),
-    )
+    """P(A_1 u ... u A_N), the mass of the atoms covered at least once."""
+    denominator, levels, _ = system.joint_table
+    return Fraction(sum(levels[1:]), denominator)
 
 
 @dataclass(frozen=True)
@@ -141,10 +162,8 @@ class OccupancyProfile:
 
 
 def occupancy_profile(system: EventSystem) -> OccupancyProfile:
-    levels = [Fraction(0)] * (system.n_events + 1)
-    for weight, count in zip(system.weights, system.occupancy_counts):
-        levels[count] += weight
-    return OccupancyProfile(tuple(levels))
+    denominator, levels, _ = system.joint_table
+    return OccupancyProfile(tuple(Fraction(v, denominator) for v in levels))
 
 
 @dataclass(frozen=True)
@@ -156,11 +175,11 @@ class JointOccupancy:
 
 def joint_occupancy(system: EventSystem) -> JointOccupancy:
     n = system.n_events
-    counts = system.occupancy_counts
+    denominator, _, table = system.joint_table
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for k, event in enumerate(system.events):
-        for atom in event:
-            rows[counts[atom] - 1][k] += system.weights[atom]
+    for k, row in enumerate(table):
+        for i, v in row:
+            rows[i - 1][k] = Fraction(v, denominator)
     return JointOccupancy(tuple(tuple(row) for row in rows))
 
 
@@ -168,14 +187,8 @@ def power_moments(system: EventSystem, k: int) -> Fraction:
     """alpha_k = E xi**k where xi counts how many events occur."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    return sum(
-        (
-            weight * count**k
-            for weight, count in zip(system.weights, system.occupancy_counts)
-            if count
-        ),
-        Fraction(0),
-    )
+    denominator, levels, _ = system.joint_table
+    return Fraction(sum(i**k * v for i, v in enumerate(levels)), denominator)
 
 
 @dataclass(frozen=True)
@@ -214,18 +227,19 @@ def per_event_moments(
     if ell < 2:
         raise ValueError("ell must be at least 2")
     n = system.n_events
-    counts = system.occupancy_counts
+    denominator, _, table = system.joint_table
     exact = integral_value(a) is not None and integral_value(rho) is not None
     zero: Number = Fraction(0) if exact else 0.0
-    sbar = [[zero] * n for _ in range(ell)]
-    exponents = [a + j * rho for j in range(ell)]
-    for k, event in enumerate(system.events):
-        for atom in event:
-            count = counts[atom]
-            weight = system.weights[atom]
-            for j, e in enumerate(exponents):
-                sbar[j][k] = sbar[j][k] + rpow(count, e - 1) * weight
-    rows = tuple(tuple(row) for row in sbar)
+    sbar = []
+    for j in range(ell):
+        powers = [zero] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]
+        if exact:  # integer numerators, one division per event
+            sums = (sum(powers[i] * v for i, v in row) for row in table)
+            sbar.append(tuple(Fraction(total, denominator) for total in sums))
+        else:
+            sums = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
+            sbar.append(tuple(float(total) for total in sums))
+    rows = tuple(sbar)
     if ell < 3:
         return PerEventMoments(a, rho, n, rows)
     n_rho = rpow(n, rho) if n else zero

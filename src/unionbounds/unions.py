@@ -183,21 +183,14 @@ def holder_union_bound(system: EventSystem, p: float) -> float:
     """
     if not p > 1:
         raise ValueError("p must exceed 1")
-    profile = occupancy_profile(system).p
-    alpha1 = sum(
-        (i * weight for i, weight in enumerate(profile) if i), Fraction(0)
-    )
-    p_int = int(p) if float(p).is_integer() else None
+    alpha1 = power_moments(system, 1)
     alphap: Number
-    if p_int is not None:
-        alphap = sum(
-            (weight * i**p_int for i, weight in enumerate(profile) if i),
-            Fraction(0),
-        )
+    if float(p).is_integer():
+        alphap = power_moments(system, int(p))
     else:
         alphap = sum(
             float(weight) * i ** float(p)
-            for i, weight in enumerate(profile)
+            for i, weight in enumerate(occupancy_profile(system).p)
             if i
         )
     return holder_lower_bound(alpha1, alphap, p)

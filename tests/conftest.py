@@ -69,6 +69,17 @@ def naive_per_event_moment(
     return total
 
 
+def naive_joint_occupancy(system: EventSystem) -> list[list[Fraction]]:
+    """p[i-1][k] = P(xi = i, A_k), summed atom by atom."""
+    counts = naive_occupancy_counts(system)
+    n = system.n_events
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for k, event in enumerate(system.events):
+        for atom in event:
+            rows[counts[atom] - 1][k] += system.weights[atom]
+    return rows
+
+
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:
     """Power moments of an explicit vector, all arithmetic over Fractions."""
     return tuple(

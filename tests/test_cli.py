@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line front end, driven through main()."""
 
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
 
 from conftest import S2_EVENTS, S2_WEIGHTS, S3_EVENTS, S3_WEIGHTS
-from unionbounds import BOUND_NAMES
+from unionbounds import BOUND_NAMES, cli
 from unionbounds.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -17,6 +19,7 @@ from unionbounds.cli import (
     main,
     parse_number,
     serialize_system,
+    write_text,
 )
 from unionbounds.events import build_system
 
@@ -169,6 +172,31 @@ def test_bounds_output_file_is_atomic(s2_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert "exact union probability: 3/4 (0.75)" in target.read_text(encoding="utf-8")
     assert not (tmp_path / "report.txt.tmp").exists()
+
+
+@pytest.mark.parametrize("failure", ["encode", "replace"])
+def test_write_text_failure_keeps_target_and_leaves_no_temp(
+    tmp_path, monkeypatch, failure
+):
+    target = tmp_path / "out.json"
+    write_text(str(target), "old\n")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    if failure == "encode":
+        # the lone surrogate cannot be encoded, so the write raises partway
+        text, error = "x" * 100_000 + "\ud800", UnicodeEncodeError
+    else:
+        text, error = "new\n", OSError
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(error):
+        write_text(str(target), text)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    assert target.read_text(encoding="utf-8") == "old\n"
 
 
 def test_generate_deterministic(tmp_path, capsys):

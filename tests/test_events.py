@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    naive_joint_occupancy,
+    naive_occupancy_counts,
     naive_occupancy_profile,
     naive_per_event_moment,
     naive_power_moment,
@@ -14,7 +16,9 @@ from conftest import (
     sample_systems,
 )
 from unionbounds import (
+    EventSystem,
     build_system,
+    compare_bounds,
     exact_union_probability,
     joint_occupancy,
     occupancy_profile,
@@ -152,6 +156,69 @@ def test_per_event_moments_match_naive_oracle():
                 assert moments.sbar[j][k] == naive_per_event_moment(
                     system, k, j + 1, a, rho
                 )
+
+
+def _wide_systems():
+    """Sparse systems with many events, some of them empty."""
+    many = random_system(5, 120, 90, "sparse")
+    assert any(not event for event in many.events)
+    holes = build_system(
+        ["1/6", "1/3", "1/6", "1/3"], [[], [0, 1], [], [1, 2, 3], [3], []]
+    )
+    return [many, holes]
+
+
+def test_table_statistics_match_naive_oracles_on_wide_systems():
+    for system in _wide_systems():
+        assert joint_occupancy(system).p == tuple(
+            tuple(row) for row in naive_joint_occupancy(system)
+        )
+        assert occupancy_profile(system).p == tuple(naive_occupancy_profile(system))
+        for a, rho in ((1, 1), (2, 1)):
+            moments = per_event_moments(system, a, rho, ell=3)
+            for k in range(system.n_events):
+                for j in range(3):
+                    assert moments.sbar[j][k] == naive_per_event_moment(
+                        system, k, j + 1, a, rho
+                    )
+
+
+def test_per_event_moments_float_mode_matches_naive_float_sum():
+    for system in sample_systems(10, seed=29) + _wide_systems():
+        counts = naive_occupancy_counts(system)
+        a, rho = 1.5, 1.25
+        moments = per_event_moments(system, a, rho, ell=3)
+        for k, event in enumerate(system.events):
+            for j in range(3):
+                naive = sum(
+                    float(counts[atom]) ** (a + j * rho - 1)
+                    * float(system.weights[atom])
+                    for atom in event
+                )
+                assert isinstance(moments.sbar[j][k], float)
+                assert moments.sbar[j][k] == pytest.approx(naive, rel=1e-12, abs=0)
+
+
+def test_report_makes_one_pass_over_incidences(monkeypatch):
+    table = EventSystem.__dict__["joint_table"]
+    passes = []
+    build = table.func
+
+    def counted(system):
+        passes.append(system)
+        return build(system)
+
+    monkeypatch.setattr(table, "func", counted)
+    system = random_system(11, 6, 40, "dense")
+    for a, rho in ((1, 1), (2, 1), (1.5, 1.25)):
+        assert compare_bounds(system, a, rho).all_pass
+    assert passes == [system]
+
+
+def test_build_system_interns_equal_weights():
+    system = build_system(["1/4", Fraction(1, 4), 0.25, "2/8"], [[0, 1]])
+    assert system.weights == (Fraction(1, 4),) * 4
+    assert all(weight is system.weights[0] for weight in system.weights)
 
 
 def test_per_event_moments_float_mode(s3):
