@@ -17,7 +17,6 @@ from .bounds import (
     VARIANTS,
     WINDOW_PATTERNS,
     CertificateError,
-    DegenerateBoundWarning,
     DeltaDecomposition,
     ExponentParams,
     GeneralBoundOutcome,
@@ -63,15 +62,10 @@ from .unions import (
     BOUND_NAMES,
     BoundEntry,
     BoundReport,
-    chung_erdos,
     compare_bounds,
-    de_caen,
     holder_union_bound,
-    kat_bound,
     occupancy_moment_vector,
-    union_lower_three,
-    union_lower_two,
-    union_upper_three,
+    union_bound,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +77,6 @@ __all__ = [
     "BoundReport",
     "CertificateError",
     "DEFAULT_INEQUALITY_TOLERANCE",
-    "DegenerateBoundWarning",
     "DeltaDecomposition",
     "EventSystem",
     "ExplicitSequence",
@@ -103,9 +96,7 @@ __all__ = [
     "bc_lower_estimate",
     "bc_upper_estimate",
     "build_system",
-    "chung_erdos",
     "compare_bounds",
-    "de_caen",
     "delta_decomposition",
     "exact_union_probability",
     "exhaustive_index_search",
@@ -114,7 +105,6 @@ __all__ = [
     "holder_union_bound",
     "inequality_tolerance",
     "joint_occupancy",
-    "kat_bound",
     "kochen_stone_ratio",
     "lower_bound_three_moments",
     "lower_bound_two_moments",
@@ -126,9 +116,7 @@ __all__ = [
     "power_moments",
     "random_system",
     "select_index_window",
-    "union_lower_three",
-    "union_lower_two",
-    "union_upper_three",
+    "union_bound",
     "upper_bound_three_moments",
     "upper_bound_two_moments",
     "__version__",

@@ -52,10 +52,6 @@ def rpow(base: Number, exponent: Number) -> Number:
     return float(base) ** float(exponent)
 
 
-def to_float(x: Number) -> float:
-    return float(x)
-
-
 def floor_root(value: Number, degree: int) -> int:
     """Largest integer b >= 0 with b**degree <= value, computed exactly.
 
@@ -66,13 +62,15 @@ def floor_root(value: Number, degree: int) -> int:
     value = Fraction(value)
     if value < 0:
         raise ValueError("floor_root requires a non-negative value")
-    if value == 0:
-        return 0
-    guess = int(float(value) ** (1.0 / degree))
+    # floor(x**(1/d)) == floor(floor(x)**(1/d)), so integers suffice
+    whole = value.numerator // value.denominator
+    if degree == 1 or whole == 0:
+        return whole
+    guess = int(float(whole) ** (1.0 / degree))
     b = max(guess - 1, 0)
-    while (b + 1) ** degree <= value:
+    while (b + 1) ** degree <= whole:
         b += 1
-    while b > 0 and b**degree > value:
+    while b > 0 and b**degree > whole:
         b -= 1
     return b
 

@@ -14,8 +14,8 @@ tolerances are used. Every function is pure and safe for concurrent use.
 from __future__ import annotations
 
 import itertools
+import math
 import os
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -51,9 +51,9 @@ class InfeasibleIndicesError(ArithmeticError):
     """The moment-matching vector on the chosen window has negative mass."""
 
 
-class DegenerateBoundWarning(RuntimeWarning):
-    """A simplified variant hit its removable 0/0 point and fell back to the
-    wide bound."""
+def _finite(x: Number) -> bool:
+    """False for a float NaN or infinity; rationals are always finite."""
+    return not isinstance(x, float) or math.isfinite(x)
 
 
 def inequality_tolerance(override: float | None = None) -> float:
@@ -85,8 +85,12 @@ class ExponentParams:
     n_support: int
 
     def __post_init__(self) -> None:
+        if not _finite(self.a):
+            raise ValueError("a must be finite")
         if not self.a > 0:
             raise ValueError("a must be positive")
+        if not _finite(self.rho):
+            raise ValueError("rho must be finite")
         if not self.rho > 0:
             raise ValueError("rho must be positive")
         if self.ell < 2:
@@ -120,6 +124,8 @@ class MomentVector:
                 f"expected {self.params.ell} moments, got {len(self.sbar)}"
             )
         for value in self.sbar:
+            if not _finite(value):
+                raise ValueError("moments must be finite")
             if value < 0:
                 raise ValueError("moments must be non-negative")
 
@@ -325,8 +331,9 @@ def delta_decomposition(
 
 def _two_moment_window(
     moments: MomentVector, tol: float
-) -> tuple[Number, Number, DeltaDecomposition] | None:
-    """Shared validation for the two-moment bounds; None when s1 = 0."""
+) -> tuple[Number, Number] | None:
+    """Shared validation for the two-moment bounds: the checked (s1, s2), or
+    None when s1 = 0."""
     params = moments.params
     s1, s2 = moments.sbar
     if s1 == 0:
@@ -339,7 +346,7 @@ def _two_moment_window(
         tol,
         "s2 <= n_support**rho * s1",
     )
-    return s1, s2, delta_decomposition(s1, s2, params.rho)
+    return s1, s2
 
 
 def lower_bound_two_moments(
@@ -357,7 +364,8 @@ def lower_bound_two_moments(
     prepared = _two_moment_window(moments, tol)
     if prepared is None:
         return _zero_like(*moments.sbar)
-    s1, _, dd = prepared
+    s1, s2 = prepared
+    dd = delta_decomposition(s1, s2, params.rho)
     low = rpow(dd.base, params.a)
     if dd.theta_refined == 0:
         return s1 / low
@@ -379,7 +387,7 @@ def lower_bound_two_moments_simple(
     prepared = _two_moment_window(moments, tol)
     if prepared is None:
         return _zero_like(*moments.sbar)
-    s1, s2, dd = prepared
+    s1, s2 = prepared
     a_int, rho_int = integral_value(params.a), integral_value(params.rho)
     if a_int is not None and rho_int is not None:
         e_hi: Number = Fraction(a_int + rho_int, rho_int)
@@ -389,7 +397,10 @@ def lower_bound_two_moments_simple(
         e_hi = (a_f + rho_f) / rho_f
         e_lo = a_f / rho_f
     core = rpow(s1, e_hi) / rpow(s2, e_lo)
-    if params.rho >= 1 or dd.theta == 0:
+    if params.rho >= 1:
+        return core
+    dd = delta_decomposition(s1, s2, params.rho)
+    if dd.theta == 0:
         return core
     return core * (1 - dd.theta_refined) / (1 - dd.theta)
 
@@ -509,6 +520,8 @@ def lower_bound_three_moments(
         raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
     if a < rho:
         core = d1 * (n_a - d_a) / (n_a * d_a * (n_rho - d_rho))
+    elif a == rho:  # the power ratio below is exactly one
+        core = d1 / (n_a * d_a)
     else:
         core = (
             d1
@@ -516,6 +529,15 @@ def lower_bound_three_moments(
             / (n_a * d_a * (n_rho - rpow(delta - 1, rho)))
         )
     return core + tail
+
+
+def _power_ratio(x: Number, a: Number, rho: Number) -> Number:
+    """(x**a - 1) / (x**rho - 1), read at x = 1 as its limit a/rho."""
+    if a == rho:
+        return 1
+    if x == 1:
+        return Fraction(a) / Fraction(rho) if all_exact(a, rho) else a / rho
+    return (rpow(x, a) - 1) / (rpow(x, rho) - 1)
 
 
 def upper_bound_three_moments(
@@ -529,10 +551,9 @@ def upper_bound_three_moments(
     Works through d1 = s2 - s1 and d2 = s3 - s2; their ratio locates a
     window away from index one, and the bound subtracts the certified excess
     from s1. Sharp ("refined") for vectors supported on {1, m-1, m}. The
-    simplified variants mirror the lower-bound ones; at the removable 0/0
-    point delta = 2 of the a >= rho displays the subtracted term is read as
-    zero, the wide value s1 is returned, and DegenerateBoundWarning is
-    emitted.
+    simplified variants mirror the lower-bound ones; the a >= rho forms read
+    ((delta-1)**a - 1) / ((delta-1)**rho - 1) at delta = 2 as its limit
+    a/rho.
     """
     params = _require_ell(moments, 3)
     _require_variant(variant)
@@ -578,18 +599,7 @@ def upper_bound_three_moments(
     if variant == "a_ge_rho":
         if not a >= rho:
             raise ValueError("variant 'a_ge_rho' requires a >= rho")
-        num = rpow(delta - 1, a) - 1
-        den = rpow(delta - 1, rho) - 1
-        if num == 0 and den == 0:
-            warnings.warn(
-                "removable 0/0 at delta = 2; the subtracted term is zero and "
-                "the bound is wide",
-                DegenerateBoundWarning,
-                stacklevel=2,
-            )
-            t1 = _zero_like(d1)
-        else:
-            t1 = d1 * (1 - tbar) * num / (rpow(b, a) * den)
+        t1 = d1 * (1 - tbar) * _power_ratio(delta - 1, a, rho) / rpow(b, a)
         if tbar == 0:
             return s1 - t1
         t2 = d1 * tbar * (d_a - 1) / (rpow(b + 1, a) * (d_rho - 1))
@@ -598,16 +608,7 @@ def upper_bound_three_moments(
         raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
     if a < rho:
         return s1 - d1 * (d_a - 1) / (d_a * (d_rho - 1))
-    num = rpow(delta - 1, a) - 1
-    den = rpow(delta - 1, rho) - 1
-    if num == 0 and den == 0:
-        warnings.warn(
-            "removable 0/0 at delta = 2; the bound falls back to s1",
-            DegenerateBoundWarning,
-            stacklevel=2,
-        )
-        return s1
-    return s1 - d1 * num / (d_a * den)
+    return s1 - d1 * _power_ratio(delta - 1, a, rho) / d_a
 
 
 def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:

@@ -39,15 +39,7 @@ from .borel_cantelli import (
     kochen_stone_ratio,
 )
 from .events import EventSystem, build_system, random_system
-from .unions import (
-    chung_erdos,
-    compare_bounds,
-    de_caen,
-    kat_bound,
-    occupancy_moment_vector,
-    union_lower_three,
-    union_upper_three,
-)
+from .unions import compare_bounds, union_bound
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -497,43 +489,27 @@ def run_selftest(args: argparse.Namespace) -> int:
         f"{violations} violations"
     )
 
-    s2 = reference_system("s2")
-    s3 = reference_system("s3")
-    constants: list[tuple[str, Number, Fraction]] = [
-        ("s2 chung_erdos", chung_erdos(s2), Fraction(2, 3)),
-        ("s2 de_caen", de_caen(s2), Fraction(2, 3)),
-        ("s2 kat", kat_bound(s2), Fraction(3, 4)),
-        ("s2 per-event lower three", union_lower_three(s2), Fraction(3, 4)),
-        ("s2 per-event upper three", union_upper_three(s2), Fraction(3, 4)),
-        ("s3 de_caen", de_caen(s3), Fraction(67, 80)),
-        ("s3 kat", kat_bound(s3), Fraction(9, 10)),
-        (
-            "s3 occupancy lower two",
-            lower_bound_two_moments(occupancy_moment_vector(s3, 1, 1, 2)),
-            Fraction(9, 10),
-        ),
-        (
-            "s3 occupancy lower three",
-            lower_bound_three_moments(occupancy_moment_vector(s3, 1, 1, 3)),
-            Fraction(9, 10),
-        ),
-        (
-            "s3 occupancy upper three",
-            upper_bound_three_moments(occupancy_moment_vector(s3, 1, 1, 3)),
-            Fraction(9, 10),
-        ),
-        (
-            "s3 occupancy upper two",
-            upper_bound_two_moments(occupancy_moment_vector(s3, 1, 1, 2)),
-            Fraction(11, 10),
-        ),
-    ]
+    systems = {name: reference_system(name) for name in ("s2", "s3")}
+    constants = (
+        ("s2", "chung_erdos", Fraction(2, 3)),
+        ("s2", "de_caen", Fraction(2, 3)),
+        ("s2", "kat", Fraction(3, 4)),
+        ("s2", "per_event_lower_three", Fraction(3, 4)),
+        ("s2", "per_event_upper_three", Fraction(3, 4)),
+        ("s3", "de_caen", Fraction(67, 80)),
+        ("s3", "kat", Fraction(9, 10)),
+        ("s3", "occupancy_lower_two", Fraction(9, 10)),
+        ("s3", "occupancy_lower_three", Fraction(9, 10)),
+        ("s3", "occupancy_upper_three", Fraction(9, 10)),
+        ("s3", "occupancy_upper_two", Fraction(11, 10)),
+    )
     hit = 0
-    for label, got, want in constants:
+    for system, name, want in constants:
+        got = union_bound(systems[system], name)
         if got == want:
             hit += 1
         else:
-            failures.append(f"constant: {label} = {got}, expected {want}")
+            failures.append(f"constant: {system} {name} = {got}, expected {want}")
     lines.append(f"worked constants: {hit}/{len(constants)} match")
 
     sample = random_system(args.seed, 3, 12, "dense")
@@ -545,7 +521,7 @@ def run_selftest(args: argparse.Namespace) -> int:
         failures.append("round trip: repeated generation differed")
 
     if args.inject_violation:
-        report = compare_bounds(s2)
+        report = compare_bounds(systems["s2"])
         entry = report.entries[0]
         corrupted = (entry.value or Fraction(0)) + 1  # deliberate off-by-one
         if not corrupted <= report.exact:

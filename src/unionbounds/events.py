@@ -116,15 +116,16 @@ def build_system(
     """Validated constructor.
 
     Weights parse through Fraction, so "1/10", "0.25", ints, floats and
-    Fractions all work; they must be non-negative and sum to one exactly.
-    Event atom lists are deduplicated, sorted and range-checked.
+    Fractions all work; they must be finite, non-negative and sum to one
+    exactly. Event atom lists are deduplicated, sorted and range-checked;
+    an atom index must be an integer value (2 or 2.0), never a bool.
     """
     parsed = []
     interned: dict[tuple[int, int], Fraction] = {}  # one object per equal weight
     for pos, raw in enumerate(weights):
         try:
             value = Fraction(raw)  # type: ignore[arg-type]
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"weight {pos}: cannot parse {raw!r}") from exc
         if value < 0:
             raise ValueError(f"weight {pos} is negative: {value}")
@@ -135,13 +136,23 @@ def build_system(
     n_atoms = len(parsed)
     cleaned = []
     for pos, event in enumerate(events):
-        atoms = sorted({int(atom) for atom in event})
+        atoms = list(event)
+        if not all(type(atom) is int for atom in atoms):  # bools fail here
+            atoms = [_atom_index(pos, atom) for atom in atoms]
+        atoms = sorted(set(atoms))
         if atoms and (atoms[0] < 0 or atoms[-1] >= n_atoms):
             raise ValueError(
                 f"event {pos} references an atom outside 0..{n_atoms - 1}"
             )
         cleaned.append(tuple(atoms))
     return EventSystem(tuple(parsed), tuple(cleaned))
+
+
+def _atom_index(pos: int, raw: object) -> int:
+    index = None if isinstance(raw, bool) else integral_value(raw)  # type: ignore[arg-type]
+    if index is None:
+        raise ValueError(f"event {pos}: atom {raw!r} is not an integer index")
+    return index
 
 
 def exact_union_probability(system: EventSystem) -> Fraction:
@@ -197,18 +208,13 @@ class PerEventMoments:
 
     sbar[j][k] = sum_i i**(a + j*rho - 1) * P(xi = i, A_k), the j+1-th power
     moment of the vector r_i(k) = P(xi = i, A_k) / i whose total recovers the
-    union probability when summed over k. For ell >= 3 the residuals feeding
-    the three-moment bounds are precomputed per event.
+    union probability when summed over k.
     """
 
     a: Number
     rho: Number
     n_events: int
     sbar: tuple[tuple[Number, ...], ...]
-    bar_delta1: tuple[Number, ...] | None = None
-    bar_delta2: tuple[Number, ...] | None = None
-    hat_delta1: tuple[Number, ...] | None = None
-    hat_delta2: tuple[Number, ...] | None = None
 
     @property
     def ell(self) -> int:
@@ -239,15 +245,7 @@ def per_event_moments(
         else:
             sums = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
             sbar.append(tuple(float(total) for total in sums))
-    rows = tuple(sbar)
-    if ell < 3:
-        return PerEventMoments(a, rho, n, rows)
-    n_rho = rpow(n, rho) if n else zero
-    bar1 = tuple(n_rho * rows[0][k] - rows[1][k] for k in range(n))
-    bar2 = tuple(n_rho * rows[1][k] - rows[2][k] for k in range(n))
-    hat1 = tuple(rows[1][k] - rows[0][k] for k in range(n))
-    hat2 = tuple(rows[2][k] - rows[1][k] for k in range(n))
-    return PerEventMoments(a, rho, n, rows, bar1, bar2, hat1, hat2)
+    return PerEventMoments(a, rho, n, tuple(sbar))
 
 
 def random_system(

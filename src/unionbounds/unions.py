@@ -1,17 +1,22 @@
 """Bounds on the probability of a union of events.
 
-Classic second-moment comparators (Chung-Erdos, de Caen, the fractional-window
-refinement, Holder) sit next to per-event and occupancy applications of the
-moment bounds. ``compare_bounds`` runs a selection against the exact union
-probability and reports each as pass or fail without aborting on errors.
+Every reported bound is a row of ``BOUNDS``: a scalar moment bound summed
+over the moment vectors of one statistic of the system. The classic
+second-moment comparators are rows at fixed exponents a = rho = 1:
+Chung-Erdos is the window-free bound on the occupancy moments, de Caen's
+bound is the same form summed per event, and the fractional-window bound
+``kat`` is the refined per-event two-moment sum. ``compare_bounds`` runs a
+selection against the exact union probability and reports each as pass or
+fail; a bound that fails with one of the library's errors becomes a failed
+entry instead of aborting the report.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from functools import partial
+from typing import Iterable
 
 from ._numeric import Number, is_exact, rpow
 from .bounds import (
@@ -21,6 +26,7 @@ from .bounds import (
     inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
+    lower_bound_two_moments_simple,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
@@ -32,147 +38,30 @@ from .events import (
     power_moments,
 )
 
-BOUND_NAMES = (
-    "chung_erdos",
-    "de_caen",
-    "kat",
-    "per_event_lower_two",
-    "per_event_lower_three",
-    "per_event_upper_three",
-    "occupancy_lower_two",
-    "occupancy_lower_three",
-    "occupancy_upper_two",
-    "occupancy_upper_three",
-)
+# The paper's three-moment per-event form: the "rho_ge_1_simple" variant at
+# a = rho = 1 and the "refined" variant at every other exponent pair.
+PAPER_FORM = "paper"
 
+# name -> (kind, statistic, ell, variant, fixed (a, rho) or None). The
+# statistic is the occupancy vector P(xi = i) or the per-event vectors whose
+# bounds add up. Two-moment variants: "refined" (lower_bound_two_moments,
+# upper_bound_two_moments) or "simple" (lower_bound_two_moments_simple);
+# three-moment variants are bounds.VARIANTS or PAPER_FORM.
+BOUNDS: dict[str, tuple[str, str, int, str, tuple[int, int] | None]] = {
+    "chung_erdos": ("lower", "occupancy", 2, "simple", (1, 1)),
+    "de_caen": ("lower", "per_event", 2, "simple", (1, 1)),
+    "kat": ("lower", "per_event", 2, "refined", (1, 1)),
+    "per_event_lower_two": ("lower", "per_event", 2, "refined", None),
+    "per_event_lower_three": ("lower", "per_event", 3, PAPER_FORM, None),
+    "per_event_upper_three": ("upper", "per_event", 3, PAPER_FORM, None),
+    "occupancy_lower_two": ("lower", "occupancy", 2, "refined", None),
+    "occupancy_lower_three": ("lower", "occupancy", 3, "refined", None),
+    "occupancy_upper_two": ("upper", "occupancy", 2, "refined", None),
+    "occupancy_upper_three": ("upper", "occupancy", 3, "refined", None),
+}
+BOUND_NAMES = tuple(BOUNDS)
 
-def chung_erdos(system: EventSystem) -> Fraction:
-    """(E xi)**2 / E xi**2, the classic second-moment lower bound."""
-    alpha2 = power_moments(system, 2) if system.n_events else Fraction(0)
-    if alpha2 == 0:
-        return Fraction(0)
-    alpha1 = power_moments(system, 1)
-    return alpha1 * alpha1 / alpha2
-
-
-def de_caen(system: EventSystem) -> Fraction:
-    """sum_k s1(k)**2 / s2(k) over events with positive probability."""
-    moments = per_event_moments(system, 1, 1, ell=2)
-    total = Fraction(0)
-    for k in range(system.n_events):
-        s1, s2 = moments.sbar[0][k], moments.sbar[1][k]
-        if s2 > 0:
-            total += s1 * s1 / s2
-    return total
-
-
-def kat_bound(system: EventSystem) -> Fraction:
-    """Per-event second-moment bound with fractional window splitting.
-
-    For each event, delta = s2(k)/s1(k) with fractional part theta; the two
-    terms of the bound place the mass on floor(delta) and floor(delta) + 1.
-    Never below de Caen's bound, and equals union_lower_two at a = rho = 1.
-    """
-    moments = per_event_moments(system, 1, 1, ell=2)
-    total = Fraction(0)
-    for k in range(system.n_events):
-        s1, s2 = moments.sbar[0][k], moments.sbar[1][k]
-        if s1 == 0:
-            continue
-        delta = s2 / s1
-        theta = delta - math.floor(delta)
-        term = (1 - theta) * s1 * s1 / (s2 - theta * s1)
-        if theta:
-            term += theta * s1 * s1 / (s2 + (1 - theta) * s1)
-        total += term
-    return total
-
-
-def union_lower_two(
-    system: EventSystem,
-    a: Number = 1,
-    rho: Number = 1,
-    *,
-    tolerance: float | None = None,
-) -> Number:
-    """Sum of per-event two-moment lower bounds; (1, 1) recovers kat_bound."""
-    moments = per_event_moments(system, a, rho, ell=2)
-    params = ExponentParams(a, rho, 2, max(system.n_events, 1))
-    total: Number = Fraction(0)
-    for k in range(system.n_events):
-        if moments.sbar[0][k] == 0:
-            continue
-        vector = MomentVector((moments.sbar[0][k], moments.sbar[1][k]), params)
-        total = total + lower_bound_two_moments(vector, tolerance=tolerance)
-    return total
-
-
-def union_lower_three(
-    system: EventSystem,
-    a: Number = 1,
-    rho: Number = 1,
-    *,
-    tolerance: float | None = None,
-) -> Number:
-    """Per-event three-moment lower bound.
-
-    At a = rho = 1 this is the closed form
-    (1/N) * sum_k (bar_d1(k)**2 / bar_d2(k) + s1(k)) with 0/0 read as 0;
-    otherwise the refined three-moment bound is summed over events.
-    """
-    n = system.n_events
-    if n == 0:
-        return Fraction(0)
-    moments = per_event_moments(system, a, rho, ell=3)
-    if a == 1 and rho == 1:
-        total = Fraction(0)
-        for k in range(n):
-            d1, d2 = moments.bar_delta1[k], moments.bar_delta2[k]
-            gain = d1 * d1 / d2 if d2 > 0 else Fraction(0)
-            total += gain + moments.sbar[0][k]
-        return total / n
-    total: Number = Fraction(0)
-    for k in range(n):
-        if moments.sbar[0][k] == 0:
-            continue
-        total = total + lower_bound_three_moments(
-            moments.vector(k), "refined", tolerance=tolerance
-        )
-    return total
-
-
-def union_upper_three(
-    system: EventSystem,
-    a: Number = 1,
-    rho: Number = 1,
-    *,
-    tolerance: float | None = None,
-) -> Number:
-    """Per-event three-moment upper bound.
-
-    At a = rho = 1 this is the closed form
-    sum_k (s1(k) - hat_d1(k)**2 / hat_d2(k)) with 0/0 read as 0; otherwise
-    the refined three-moment bound is summed over events.
-    """
-    n = system.n_events
-    if n == 0:
-        return Fraction(0)
-    moments = per_event_moments(system, a, rho, ell=3)
-    if a == 1 and rho == 1:
-        total = Fraction(0)
-        for k in range(n):
-            d1, d2 = moments.hat_delta1[k], moments.hat_delta2[k]
-            drop = d1 * d1 / d2 if d2 > 0 else Fraction(0)
-            total += moments.sbar[0][k] - drop
-        return total
-    total: Number = Fraction(0)
-    for k in range(n):
-        if moments.sbar[0][k] == 0:
-            continue
-        total = total + upper_bound_three_moments(
-            moments.vector(k), "refined", tolerance=tolerance
-        )
-    return total
+RowKey = tuple[str, str, int, str, Number, Number]
 
 
 def holder_union_bound(system: EventSystem, p: float) -> float:
@@ -218,6 +107,90 @@ def occupancy_moment_vector(
     return MomentVector(tuple(sbar), params)
 
 
+def _row_key(name: str, a: Number, rho: Number) -> RowKey:
+    """(kind, statistic, ell, variant, a, rho) computed by row ``name``."""
+    kind, statistic, ell, variant, fixed = BOUNDS[name]
+    if fixed is not None:
+        a, rho = fixed
+    if variant == PAPER_FORM:
+        variant = "rho_ge_1_simple" if a == 1 and rho == 1 else "refined"
+    return kind, statistic, ell, variant, a, rho
+
+
+def _moment_vectors(
+    system: EventSystem,
+    statistic: str,
+    a: Number,
+    rho: Number,
+    ell: int,
+    cache: dict,
+) -> list[MomentVector]:
+    """The occupancy vector, or one vector per event of positive probability.
+
+    The ell = 3 moments are computed once per (statistic, a, rho) and kept in
+    ``cache``; ell = 2 takes their prefix.
+    """
+    key = (statistic, a, rho, ell)
+    if key not in cache:
+        params = ExponentParams(a, rho, ell, system.n_events)
+        moments = cache.get((statistic, a, rho))
+        if moments is None:
+            if statistic == "occupancy":
+                moments = [occupancy_moment_vector(system, a, rho, 3).sbar]
+            else:
+                sbar = per_event_moments(system, a, rho, ell=3).sbar
+                moments = [m for m in zip(*sbar) if m[0] != 0]
+            cache[(statistic, a, rho)] = moments
+        cache[key] = [MomentVector(m[:ell], params) for m in moments]
+    return cache[key]
+
+
+def _evaluate(
+    system: EventSystem, key: RowKey, tolerance: float, cache: dict
+) -> Number:
+    """The row's scalar bound, looked up at call time, summed over the
+    statistic's moment vectors."""
+    kind, statistic, ell, variant, a, rho = key
+    if ell == 3:
+        three = (
+            lower_bound_three_moments if kind == "lower" else upper_bound_three_moments
+        )
+        bound = partial(three, variant=variant)
+    elif kind == "upper":
+        bound = upper_bound_two_moments
+    elif variant == "simple":
+        bound = lower_bound_two_moments_simple
+    else:
+        bound = lower_bound_two_moments
+    vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
+    if statistic == "occupancy":
+        return bound(vectors[0], tolerance=tolerance)
+    total: Number = Fraction(0)  # the per-event bounds add up, in event order
+    for moments in vectors:
+        total = total + bound(moments, tolerance=tolerance)
+    return total
+
+
+def union_bound(
+    system: EventSystem,
+    name: str,
+    a: Number = 1,
+    rho: Number = 1,
+    *,
+    tolerance: float | None = None,
+) -> Number:
+    """Value of the bound ``name`` (a key of BOUNDS) on ``system``.
+
+    Rows with fixed exponents ignore ``a`` and ``rho``.
+    """
+    if name not in BOUNDS:
+        raise ValueError(f"unknown bound name {name!r}; expected one of {BOUND_NAMES}")
+    if system.n_events == 0:
+        raise ValueError("the system has no events")
+    tol = inequality_tolerance(tolerance)
+    return _evaluate(system, _row_key(name, a, rho), tol, {})
+
+
 @dataclass(frozen=True)
 class BoundEntry:
     """One bound evaluation within a report."""
@@ -261,6 +234,13 @@ def _sandwich_ok(kind: str, value: Number, exact: Fraction, tol: float) -> bool:
     return v >= e - tol * scale
 
 
+def _clamp(value: Number) -> Number:
+    """value pushed into [0, 1] in its own arithmetic."""
+    if is_exact(value):
+        return min(max(value, 0), 1)
+    return min(max(value, 0.0), 1.0)
+
+
 def compare_bounds(
     system: EventSystem,
     a: Number = 1,
@@ -271,10 +251,12 @@ def compare_bounds(
 ) -> BoundReport:
     """Evaluate the selected bounds and check each against the exact value.
 
-    A bound that raises becomes a failed entry carrying the error text; the
-    report itself never aborts. ``include`` filters by name (see
-    BOUND_NAMES); the classic comparators always evaluate at a = rho = 1
-    regardless of the requested exponents.
+    A bound that raises ValueError or ArithmeticError (the library's moment,
+    certificate and arithmetic errors) becomes a failed entry carrying the
+    error text; any other exception propagates. ``include`` filters by name
+    (see BOUND_NAMES); rows with fixed exponents in BOUNDS evaluate there
+    regardless of the requested ones. Rows that compute the same thing are
+    evaluated once.
     """
     if system.n_events == 0:
         raise ValueError("the system has no events")
@@ -284,63 +266,18 @@ def compare_bounds(
         raise ValueError(f"unknown bound names: {sorted(unknown)}")
     exact = exact_union_probability(system)
     tol = inequality_tolerance(tolerance)
-    recipes: tuple[tuple[str, str, Callable[[], Number]], ...] = (
-        ("chung_erdos", "lower", lambda: chung_erdos(system)),
-        ("de_caen", "lower", lambda: de_caen(system)),
-        ("kat", "lower", lambda: kat_bound(system)),
-        (
-            "per_event_lower_two",
-            "lower",
-            lambda: union_lower_two(system, a, rho, tolerance=tolerance),
-        ),
-        (
-            "per_event_lower_three",
-            "lower",
-            lambda: union_lower_three(system, a, rho, tolerance=tolerance),
-        ),
-        (
-            "per_event_upper_three",
-            "upper",
-            lambda: union_upper_three(system, a, rho, tolerance=tolerance),
-        ),
-        (
-            "occupancy_lower_two",
-            "lower",
-            lambda: lower_bound_two_moments(
-                occupancy_moment_vector(system, a, rho, 2), tolerance=tolerance
-            ),
-        ),
-        (
-            "occupancy_lower_three",
-            "lower",
-            lambda: lower_bound_three_moments(
-                occupancy_moment_vector(system, a, rho, 3),
-                tolerance=tolerance,
-            ),
-        ),
-        (
-            "occupancy_upper_two",
-            "upper",
-            lambda: upper_bound_two_moments(
-                occupancy_moment_vector(system, a, rho, 2), tolerance=tolerance
-            ),
-        ),
-        (
-            "occupancy_upper_three",
-            "upper",
-            lambda: upper_bound_three_moments(
-                occupancy_moment_vector(system, a, rho, 3),
-                tolerance=tolerance,
-            ),
-        ),
-    )
+    cache: dict = {}
+    values: dict[RowKey, Number] = {}
     entries = []
-    for name, kind, thunk in recipes:
+    for name in BOUND_NAMES:
         if name not in wanted:
             continue
+        key = _row_key(name, a, rho)
+        kind = key[0]
         try:
-            value = thunk()
-        except Exception as exc:  # report, never abort
+            if key not in values:
+                values[key] = _evaluate(system, key, tol, cache)
+        except (ValueError, ArithmeticError) as exc:  # the library's own errors
             entries.append(
                 BoundEntry(
                     name,
@@ -353,12 +290,13 @@ def compare_bounds(
                 )
             )
             continue
+        value = values[key]
         entries.append(
             BoundEntry(
                 name,
                 kind,
                 value,
-                min(max(value, 0), 1),
+                _clamp(value),
                 "rational" if is_exact(value) else "float",
                 _sandwich_ok(kind, value, exact, tol),
             )

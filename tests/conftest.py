@@ -80,6 +80,70 @@ def naive_joint_occupancy(system: EventSystem) -> list[list[Fraction]]:
     return rows
 
 
+# Independent closed forms of the classic and (1,1) union bounds, built from
+# the naive statistics above; the registry rows must reproduce them exactly.
+
+
+def _naive_event_moments(system: EventSystem) -> list[tuple[Fraction, ...]]:
+    """(s1, s2, s3) of every event at a = rho = 1."""
+    return [
+        tuple(naive_per_event_moment(system, k, j, 1, 1) for j in (1, 2, 3))
+        for k in range(system.n_events)
+    ]
+
+
+def naive_chung_erdos(system: EventSystem) -> Fraction:
+    """(E xi)**2 / E xi**2, read as 0 when no event has positive mass."""
+    alpha2 = naive_power_moment(system, 2)
+    if alpha2 == 0:
+        return Fraction(0)
+    return naive_power_moment(system, 1) ** 2 / alpha2
+
+
+def naive_de_caen(system: EventSystem) -> Fraction:
+    """sum_k s1(k)**2 / s2(k) over events with positive probability."""
+    return sum(
+        (s1 * s1 / s2 for s1, s2, _ in _naive_event_moments(system) if s2),
+        Fraction(0),
+    )
+
+
+def naive_kat(system: EventSystem) -> Fraction:
+    """Kuai-Alajaji-Takahara: per event, delta = s2/s1 with fractional part
+    theta puts the mass on floor(delta) and floor(delta) + 1."""
+    total = Fraction(0)
+    for s1, s2, _ in _naive_event_moments(system):
+        if s1 == 0:
+            continue
+        delta = s2 / s1
+        theta = delta - (delta.numerator // delta.denominator)
+        total += (1 - theta) * s1 * s1 / (s2 - theta * s1)
+        if theta:
+            total += theta * s1 * s1 / (s2 + (1 - theta) * s1)
+    return total
+
+
+def naive_per_event_lower_three(system: EventSystem) -> Fraction:
+    """(1/N) sum_k (d1(k)**2 / d2(k) + s1(k)) with d1 = N*s1 - s2,
+    d2 = N*s2 - s3 and 0/0 read as 0."""
+    n = system.n_events
+    total = Fraction(0)
+    for s1, s2, s3 in _naive_event_moments(system):
+        d1, d2 = n * s1 - s2, n * s2 - s3
+        total += (d1 * d1 / d2 if d2 else 0) + s1
+    return total / n
+
+
+def naive_per_event_upper_three(system: EventSystem) -> Fraction:
+    """sum_k (s1(k) - d1(k)**2 / d2(k)) with d1 = s2 - s1, d2 = s3 - s2 and
+    0/0 read as 0."""
+    total = Fraction(0)
+    for s1, s2, s3 in _naive_event_moments(system):
+        d1, d2 = s2 - s1, s3 - s2
+        total += s1 - (d1 * d1 / d2 if d2 else 0)
+    return total
+
+
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:
     """Power moments of an explicit vector, all arithmetic over Fractions."""
     return tuple(

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import S2_EVENTS, S2_WEIGHTS, S3_EVENTS, S3_WEIGHTS
+from conftest import S2_EVENTS, S2_WEIGHTS, S3_EVENTS, S3_WEIGHTS, naive_kat
 from unionbounds import (
     ExponentParams,
     IndependentSequence,
@@ -19,12 +19,9 @@ from unionbounds import (
     bc_lower_estimate,
     bc_upper_estimate,
     build_system,
-    chung_erdos,
     compare_bounds,
-    de_caen,
     exact_union_probability,
     holder_union_bound,
-    kat_bound,
     kochen_stone_ratio,
     lower_bound_three_moments,
     lower_bound_two_moments,
@@ -34,9 +31,7 @@ from unionbounds import (
     per_event_moments,
     power_moments,
     random_system,
-    union_lower_three,
-    union_lower_two,
-    union_upper_three,
+    union_bound,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
@@ -112,8 +107,8 @@ def test_acceptance_3_fractional_window_identity():
         system = random_system(
             1_000_000 + i, rng.randint(1, 8), rng.randint(1, 96), PROFILES[i % 3]
         )
-        kat = kat_bound(system)
-        fractional = union_lower_two(system)
+        kat = naive_kat(system)
+        fractional = union_bound(system, "per_event_lower_two")
         assert kat == fractional, i
         assert abs(float(kat) - float(fractional)) <= 1e-12
     # integer delta = s2/s1 makes theta vanish and the bound collapse to
@@ -130,13 +125,13 @@ def test_acceptance_3_fractional_window_identity():
 def test_acceptance_4_worked_constants():
     s2 = build_system(S2_WEIGHTS, S2_EVENTS)
     assert exact_union_probability(s2) == Fraction(3, 4)
-    assert chung_erdos(s2) == Fraction(2, 3)
-    assert de_caen(s2) == Fraction(2, 3)
-    assert kat_bound(s2) == Fraction(3, 4)
-    assert union_lower_two(s2) == Fraction(3, 4)
-    assert union_lower_three(s2) == Fraction(3, 4)
-    assert union_upper_three(s2) == Fraction(3, 4)
-    assert union_lower_two(s2, 2, 1) == Fraction(3, 4)
+    assert union_bound(s2, "chung_erdos") == Fraction(2, 3)
+    assert union_bound(s2, "de_caen") == Fraction(2, 3)
+    assert union_bound(s2, "kat") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_two") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_three") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_upper_three") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_two", 2, 1) == Fraction(3, 4)
     assert occupancy_profile(s2).p == (
         Fraction(1, 4),
         Fraction(1, 2),
@@ -166,12 +161,12 @@ def test_acceptance_4_worked_constants():
     assert moments.sbar[0] == (Fraction(11, 20), Fraction(7, 20), Fraction(3, 5))
     assert moments.sbar[1] == (Fraction(1), Fraction(7, 10), Fraction(1))
     assert moments.sbar[2] == (Fraction(19, 10), Fraction(7, 5), Fraction(9, 5))
-    assert chung_erdos(s3) == Fraction(5, 6)
-    assert de_caen(s3) == Fraction(67, 80)
-    assert kat_bound(s3) == Fraction(9, 10)
-    assert union_lower_two(s3) == Fraction(9, 10)
-    assert union_lower_three(s3) == Fraction(1711, 1980)
-    assert union_upper_three(s3) == Fraction(9, 10)
+    assert union_bound(s3, "chung_erdos") == Fraction(5, 6)
+    assert union_bound(s3, "de_caen") == Fraction(67, 80)
+    assert union_bound(s3, "kat") == Fraction(9, 10)
+    assert union_bound(s3, "per_event_lower_two") == Fraction(9, 10)
+    assert union_bound(s3, "per_event_lower_three") == Fraction(1711, 1980)
+    assert union_bound(s3, "per_event_upper_three") == Fraction(9, 10)
     occ2 = occupancy_moment_vector(s3, 1, 1, 2)
     occ3 = occupancy_moment_vector(s3, 1, 1, 3)
     assert occ3.sbar == (Fraction(3, 2), Fraction(27, 10), Fraction(51, 10))
@@ -207,10 +202,11 @@ def test_acceptance_5_dominance_chains():
         system = random_system(
             5_000_000 + i, rng.randint(1, 8), rng.randint(1, 64), PROFILES[i % 3]
         )
-        assert kat_bound(system) >= de_caen(system) - TOL12, i
+        kat, de_caen = union_bound(system, "kat"), union_bound(system, "de_caen")
+        assert kat >= de_caen - TOL12, i
         if power_moments(system, 1) == 0:
             continue
-        ce = float(chung_erdos(system))
+        ce = float(union_bound(system, "chung_erdos"))
         for p in (2.5, 3, 4):
             assert holder_union_bound(system, p) <= ce + 1e-12, (i, p)
     print("ACCEPTANCE 5 (refined >= simple, kat >= de Caen, Holder <= CE): PASS")

@@ -20,8 +20,7 @@ from unionbounds import (
     build_system,
     exact_union_probability,
     kochen_stone_ratio,
-    union_lower_three,
-    union_upper_three,
+    union_bound,
 )
 
 
@@ -127,9 +126,9 @@ def test_identical_sequence_certain_event_hits_zero_guard():
 def test_explicit_model_matches_union_bounds(s3):
     model = ExplicitSequence(s3)
     lower = bc_lower_estimate(model, 3)
-    assert lower.value == union_lower_three(s3)
+    assert lower.value == union_bound(s3, "per_event_lower_three")
     upper = bc_upper_estimate(model, 1, 3)
-    assert upper.window_bound == union_upper_three(s3)
+    assert upper.window_bound == union_bound(s3, "per_event_upper_three")
     assert upper.window_bound == Fraction(9, 10)
     assert lower.value <= exact_union_probability(s3)
 
@@ -141,9 +140,9 @@ def test_explicit_model_prefixes():
             prefix = model.prefix_system(n)
             estimate = bc_lower_estimate(model, n)
             assert estimate.value <= exact_union_probability(prefix)
-            assert estimate.value == union_lower_three(prefix)
+            assert estimate.value == union_bound(prefix, "per_event_lower_three")
             upper = bc_upper_estimate(model, 1, n)
-            assert upper.window_bound == union_upper_three(prefix)
+            assert upper.window_bound == union_bound(prefix, "per_event_upper_three")
 
 
 def test_explicit_window_moments_shift():

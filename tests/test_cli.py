@@ -87,6 +87,15 @@ def test_load_system_bad_weights(tmp_path, capsys):
     assert "weights sum 9/10 != 1" in capsys.readouterr().err
 
 
+def test_load_system_infinite_weight(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"weights": [1, Infinity], "events": [[0]]}', encoding="utf-8")
+    assert main(["bounds", "--input", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "weight 1: cannot parse" in err
+
+
 def test_bounds_table_s2(s2_path, capsys):
     assert main(["bounds", "--input", s2_path]) == EXIT_OK
     out = capsys.readouterr().out

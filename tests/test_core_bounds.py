@@ -5,6 +5,7 @@ engine on their own index windows, against brute-force moments of explicit
 vectors, and against each other (refined vs simplified variants).
 """
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -14,7 +15,6 @@ import pytest
 from conftest import brute_force_moments
 from unionbounds import (
     CertificateError,
-    DegenerateBoundWarning,
     DeltaDecomposition,
     ExponentParams,
     InfeasibleIndicesError,
@@ -144,6 +144,23 @@ def test_moment_vector_validation():
     vector = MomentVector((Fraction(1), Fraction(2)), params)
     assert vector.exact
     assert not MomentVector((1.0, 2.0), params).exact
+
+
+def test_exponent_params_reject_non_finite_exponents():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentParams(bad, 1, 2, 3)
+        with pytest.raises(ValueError, match="finite"):
+            ExponentParams(1, bad, 2, 3)
+
+
+def test_moment_vector_rejects_non_finite_moments():
+    params = ExponentParams(1, 1, 2, 3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MomentVector((0.5, bad), params)
+        with pytest.raises(ValueError, match="finite"):
+            MomentVector((bad, 1.0), params)
 
 
 def test_moment_vector_from_vector_matches_brute_force():
@@ -291,10 +308,12 @@ def test_lower_three_simplified_variants_worked_values():
 
 
 def test_upper_three_degenerate_simple_falls_back_wide():
+    # delta = 2: the 0/0 power ratio is read as its limit a/rho, not as s1
     moments = make_moments(S3_OCCUPANCY)
-    with pytest.warns(DegenerateBoundWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         value = upper_bound_three_moments(moments, "rho_ge_1_simple")
-    assert value == Fraction(3, 2)  # wide fallback: s1 itself
+    assert value == Fraction(9, 10)
 
 
 def test_upper_three_refined_handles_delta_two_without_warning():
@@ -367,9 +386,7 @@ def test_simplified_variants_are_wide_when_applicable():
         for variant in variants:
             loose_lower = lower_bound_three_moments(moments, variant)
             assert float(loose_lower) <= float(refined_lower) + 1e-9
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateBoundWarning)
-                loose_upper = upper_bound_three_moments(moments, variant)
+            loose_upper = upper_bound_three_moments(moments, variant)
             assert float(loose_upper) >= float(refined_upper) - 1e-9
 
 
@@ -482,6 +499,33 @@ def test_exhaustive_search_agrees_with_closed_forms():
         best_upper = exhaustive_index_search(features, moments.sbar, "upper")
         assert best_upper is not None
         assert best_upper.bound_value == upper_bound_two_moments(moments)
+
+
+def test_upper_three_simple_variants_valid_at_delta_two():
+    # delta = 2 exactly when the vector lives on {1, 2}; there the limit
+    # a/rho keeps both a >= rho variants between the sum and s1, and never
+    # below the refined bound or the best certified window
+    rng = random.Random(73)
+    for trial in range(120):
+        n = rng.randint(3, 6)
+        a, rho = rng.choice(((1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (1.5, 1.25)))
+        values = [Fraction(0)] * n
+        values[0] = Fraction(rng.randint(0, 8), rng.randint(1, 9))
+        values[1] = Fraction(rng.randint(1, 8), rng.randint(1, 9))
+        params = ExponentParams(a, rho, 3, n)
+        moments = MomentVector.from_vector(values, params)
+        refined = upper_bound_three_moments(moments)
+        best = exhaustive_index_search(
+            power_feature_matrix(params), moments.sbar, "upper"
+        )
+        for variant in ("rho_ge_1_simple", "a_ge_rho"):
+            value = upper_bound_three_moments(moments, variant)
+            case = (trial, a, rho, values, variant)
+            assert float(sum(values)) <= float(value) + 1e-9, case
+            assert float(value) <= float(moments.sbar[0]) + 1e-9, case
+            assert float(value) >= float(refined) - 1e-9, case
+            if best is not None:
+                assert float(value) >= float(best.bound_value) - 1e-9, case
 
 
 # --------------------------------------------------------- window selection

@@ -13,7 +13,6 @@ from unionbounds._numeric import (
     nth_root_exact,
     rpow,
     solve_linear,
-    to_float,
 )
 
 
@@ -45,11 +44,6 @@ def test_rpow_float_cases():
     assert rpow(2, 0.5) == pytest.approx(math.sqrt(2))
     assert rpow(Fraction(1, 4), Fraction(1, 2)) == pytest.approx(0.5)
     assert isinstance(rpow(2, 0.5), float)
-
-
-def test_to_float():
-    assert to_float(Fraction(1, 4)) == 0.25
-    assert to_float(3) == 3.0
 
 
 def test_floor_root_small_values():

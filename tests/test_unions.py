@@ -7,54 +7,66 @@ from fractions import Fraction
 import pytest
 
 import unionbounds.unions as unions_module
-from conftest import sample_systems
+from conftest import (
+    naive_chung_erdos,
+    naive_de_caen,
+    naive_kat,
+    naive_per_event_lower_three,
+    naive_per_event_upper_three,
+    sample_systems,
+)
 from unionbounds import (
     BOUND_NAMES,
     ExponentParams,
+    MomentConsistencyError,
     MomentVector,
     build_system,
-    chung_erdos,
     compare_bounds,
-    de_caen,
     exact_union_probability,
     holder_union_bound,
-    kat_bound,
     lower_bound_two_moments,
     occupancy_moment_vector,
-    per_event_moments,
-    union_lower_three,
-    union_lower_two,
-    union_upper_three,
+    random_system,
+    union_bound,
 )
 
 
 def test_s2_worked_constants(s2):
-    assert chung_erdos(s2) == Fraction(2, 3)
-    assert de_caen(s2) == Fraction(2, 3)
-    assert kat_bound(s2) == Fraction(3, 4)
-    assert union_lower_two(s2) == Fraction(3, 4)
-    assert union_lower_three(s2) == Fraction(3, 4)
-    assert union_upper_three(s2) == Fraction(3, 4)
+    assert union_bound(s2, "chung_erdos") == Fraction(2, 3)
+    assert union_bound(s2, "de_caen") == Fraction(2, 3)
+    assert union_bound(s2, "kat") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_two") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_three") == Fraction(3, 4)
+    assert union_bound(s2, "per_event_upper_three") == Fraction(3, 4)
 
 
 def test_s3_worked_constants(s3):
-    assert chung_erdos(s3) == Fraction(5, 6)
-    assert de_caen(s3) == Fraction(67, 80)
-    assert kat_bound(s3) == Fraction(9, 10)  # sharp here
-    assert union_lower_three(s3) == Fraction(1711, 1980)
-    assert union_upper_three(s3) == Fraction(9, 10)
+    assert union_bound(s3, "chung_erdos") == Fraction(5, 6)
+    assert union_bound(s3, "de_caen") == Fraction(67, 80)
+    assert union_bound(s3, "kat") == Fraction(9, 10)  # sharp here
+    assert union_bound(s3, "per_event_lower_three") == Fraction(1711, 1980)
+    assert union_bound(s3, "per_event_upper_three") == Fraction(9, 10)
 
 
 def test_s2_higher_exponents(s2):
-    assert union_lower_two(s2, 2, 1) == Fraction(3, 4)
+    assert union_bound(s2, "per_event_lower_two", 2, 1) == Fraction(3, 4)
     exact = exact_union_probability(s2)
-    assert union_lower_three(s2, 2, 1) <= exact
-    assert union_upper_three(s2, 2, 1) >= exact
+    assert union_bound(s2, "per_event_lower_three", 2, 1) <= exact
+    assert union_bound(s2, "per_event_upper_three", 2, 1) >= exact
 
 
 def test_kat_equals_per_event_two_moment_bound():
     for system in sample_systems(40, seed=101):
-        assert union_lower_two(system) == kat_bound(system)
+        assert union_bound(system, "per_event_lower_two") == naive_kat(system)
+        assert union_bound(system, "kat") == naive_kat(system)
+
+
+def test_classic_rows_equal_their_closed_forms():
+    for system in sample_systems(40, seed=103):
+        assert union_bound(system, "chung_erdos") == naive_chung_erdos(system)
+        assert union_bound(system, "de_caen") == naive_de_caen(system)
+        # fixed-exponent rows ignore the requested exponents
+        assert union_bound(system, "de_caen", 2, 3) == naive_de_caen(system)
 
 
 def test_kat_theta_zero_reduces_to_de_caen():
@@ -70,8 +82,8 @@ def test_kat_theta_zero_reduces_to_de_caen():
 
 def test_dominance_kat_over_de_caen_over_nothing():
     for system in sample_systems(40, seed=107):
-        assert kat_bound(system) >= de_caen(system)
-        assert kat_bound(system) <= exact_union_probability(system)
+        assert union_bound(system, "kat") >= union_bound(system, "de_caen")
+        assert union_bound(system, "kat") <= exact_union_probability(system)
 
 
 def test_holder_union_bound_values(s2):
@@ -83,7 +95,7 @@ def test_holder_union_bound_values(s2):
 
 def test_holder_never_beats_chung_erdos():
     for system in sample_systems(30, seed=109):
-        ce = float(chung_erdos(system))
+        ce = float(union_bound(system, "chung_erdos"))
         for p in (2.5, 3, 4):
             assert holder_union_bound(system, p) <= ce + 1e-12
 
@@ -99,9 +111,9 @@ def test_occupancy_moment_vector(s3):
 def test_union_bounds_sandwich_random_systems():
     for system in sample_systems(40, seed=113):
         exact = exact_union_probability(system)
-        assert union_lower_two(system) <= exact
-        assert union_lower_three(system) <= exact
-        assert union_upper_three(system) >= exact
+        assert union_bound(system, "per_event_lower_two") <= exact
+        assert union_bound(system, "per_event_lower_three") <= exact
+        assert union_bound(system, "per_event_upper_three") >= exact
 
 
 def test_compare_bounds_report_structure(s2):
@@ -127,6 +139,13 @@ def test_compare_bounds_clamps_into_unit_interval(s3):
     assert upper_two.passed
 
 
+def test_compare_bounds_clamps_floats_to_floats():
+    system = random_system(3, 4, 30, "dense")
+    upper_two = compare_bounds(system, 1.5, 1.25).entry("occupancy_upper_two")
+    assert upper_two.value > 1
+    assert upper_two.clamped == 1.0 and isinstance(upper_two.clamped, float)
+
+
 def test_compare_bounds_include_filter(s2):
     report = compare_bounds(s2, include=["kat", "de_caen"])
     assert {entry.name for entry in report.entries} == {"kat", "de_caen"}
@@ -143,10 +162,10 @@ def test_compare_bounds_float_exponents(s2):
 
 
 def test_compare_bounds_survives_a_failing_bound(s2, monkeypatch):
-    def boom(system):
-        raise RuntimeError("synthetic failure")
+    def boom(moments, *, tolerance=None):
+        raise MomentConsistencyError("synthetic failure")
 
-    monkeypatch.setattr(unions_module, "chung_erdos", boom)
+    monkeypatch.setattr(unions_module, "lower_bound_two_moments_simple", boom)
     report = compare_bounds(s2)
     broken = report.entry("chung_erdos")
     assert not broken.passed
@@ -158,17 +177,40 @@ def test_compare_bounds_survives_a_failing_bound(s2, monkeypatch):
     assert report.entry("kat").passed
 
 
+def test_compare_bounds_reports_arithmetic_errors():
+    # the float per-event moments overflow at these exponents
+    report = compare_bounds(random_system(0, 12, 40, "dense"), 300.5, 2.5)
+    broken = report.entry("per_event_lower_two")
+    assert broken.error.startswith("OverflowError")
+    assert not broken.passed
+    assert report.entry("kat").passed
+
+
+def test_compare_bounds_lets_programming_errors_through(s2, monkeypatch):
+    def boom(moments, *, tolerance=None):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(unions_module, "lower_bound_two_moments", boom)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        compare_bounds(s2)
+
+
+def test_union_bound_rejects_unknown_names_and_empty_systems(s2):
+    with pytest.raises(ValueError):
+        union_bound(s2, "bogus")
+    with pytest.raises(ValueError):
+        union_bound(build_system(["1"], []), "kat")
+
+
 def test_compare_bounds_requires_events():
     with pytest.raises(ValueError):
         compare_bounds(build_system(["1"], []))
 
 
 def test_per_event_upper_three_equals_closed_form(s3):
-    # the (1,1) closed form and the per-event refined sum agree exactly
-    moments = per_event_moments(s3, 1, 1, ell=3)
-    total = Fraction(0)
-    for k in range(s3.n_events):
-        d1, d2 = moments.hat_delta1[k], moments.hat_delta2[k]
-        drop = d1 * d1 / d2 if d2 > 0 else Fraction(0)
-        total += moments.sbar[0][k] - drop
-    assert union_upper_three(s3) == total
+    # at (1,1) both per-event three-moment rows are the paper's closed forms
+    for system in [s3] + sample_systems(40, seed=131):
+        lower = union_bound(system, "per_event_lower_three")
+        assert lower == naive_per_event_lower_three(system)
+        upper = union_bound(system, "per_event_upper_three")
+        assert upper == naive_per_event_upper_three(system)
