@@ -52,6 +52,22 @@ def rpow(base: Number, exponent: Number) -> Number:
     return float(base) ** float(exponent)
 
 
+def balanced_sum(values: Sequence[Number], start: Number = 0) -> Number:
+    """``start`` plus the sum of ``values``, added in a balanced pairwise tree.
+
+    Each addition joins two partial sums of similar size, so an exact sum of
+    many rationals never carries one ever larger denominator through every
+    step as a running total does.
+    """
+    level = list(values)
+    while len(level) > 1:
+        paired = [a + b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return start + level[0] if level else start
+
+
 def floor_root(value: Number, degree: int) -> int:
     """Largest integer b >= 0 with b**degree <= value, computed exactly.
 

@@ -11,22 +11,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence, Union
+from itertools import groupby, repeat
+from typing import Callable, Iterable, Protocol, Sequence, Union
 
-from ._numeric import Number
+from ._numeric import Number, balanced_sum, is_exact
 from .events import EventSystem, per_event_moments, power_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
+Row = tuple[Number, Number, Number]  # (P(A_k), E X I_k, E X**2 I_k)
+Runs = list[tuple[Row, int]]  # (row, number of consecutive equal rows)
 
 
 class SequenceModel(Protocol):
-    """What the estimators need from an event-sequence model."""
+    """What the estimators need from an event-sequence model.
+
+    window_moments(m, n) returns the rows (P(A_k), E X I_k, E X**2 I_k) of
+    the window m..n as runs of equal consecutive rows, in k order:
+    [((p, e1, e2), count), ...], the counts adding up to n - m + 1. The
+    estimators compute each run's terms once and weight them by its count,
+    so a window of one repeated row costs the same at every width.
+    alpha_moments(n) returns (E X, E X**2) for X counting A_1..A_n.
+    """
 
     horizon: int | None
 
-    def window_moments(
-        self, m: int, n: int
-    ) -> list[tuple[Number, Number, Number]]: ...
+    def window_moments(self, m: int, n: int) -> Runs: ...
 
     def alpha_moments(self, n: int) -> tuple[Number, Number]: ...
 
@@ -36,6 +45,11 @@ def _as_probability(value: ProbabilityLike) -> Number:
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")
     return p
+
+
+def _runs(values: Iterable) -> list:
+    """Runs of equal consecutive values as [(value, count), ...]."""
+    return [(value, sum(1 for _ in group)) for value, group in groupby(values)]
 
 
 @dataclass(frozen=True)
@@ -58,21 +72,38 @@ class BCEstimate:
 
 
 class ExplicitSequence:
-    """The events of a finite system, taken in their listed order."""
+    """The events of a finite system, taken in their listed order.
+
+    The system of a window m..n is built once per model and kept, so the
+    lower and upper estimates and the Kochen-Stone ratio of one horizon
+    share one statistics pass over its atoms.
+    """
 
     def __init__(self, system: EventSystem):
         if system.n_events == 0:
             raise ValueError("the system has no events")
         self.system = system
         self.horizon: int | None = system.n_events
+        self._windows: dict[tuple[int, int], EventSystem] = {}
+
+    def _window_system(self, m: int, n: int) -> EventSystem:
+        """The subsystem of events m..n, cached by (m, n)."""
+        system = self._windows.get((m, n))
+        if system is None:
+            if m == 1:
+                system = self.system.prefix(n)
+            else:
+                system = EventSystem(self.system.weights, self.system.events[m - 1 : n])
+            self._windows[m, n] = system
+        return system
 
     def prefix_system(self, n: int) -> EventSystem:
-        return self.system.prefix(n)
+        return self._window_system(1, n)
 
-    def window_moments(self, m: int, n: int) -> list[tuple[Number, Number, Number]]:
+    def window_moments(self, m: int, n: int) -> Runs:
         # (p, e1, e2) are the per-event moments sbar_0..sbar_2 at a = rho = 1.
-        window = EventSystem(self.system.weights, self.system.events[m - 1 : n])
-        return list(zip(*per_event_moments(window, 1, 1, ell=3).sbar))
+        moments = per_event_moments(self._window_system(m, n), 1, 1, ell=3)
+        return _runs(zip(*moments.sbar))
 
     def alpha_moments(self, n: int) -> tuple[Number, Number]:
         prefix = self.prefix_system(n)
@@ -87,6 +118,13 @@ class IndependentSequence:
     rational probabilities: with T1 and T2 the window sums of p_j and p_j**2
     excluding k, E X I_k = p_k (1 + T1) and
     E X**2 I_k = p_k (1 + 3 T1 + T1**2 - T2).
+
+    A constant probability gives every window one run, from the sums
+    width * p and width * p**2. Otherwise each p_k is evaluated and validated
+    once, on first use, into a contiguous block of indices that keeps running
+    sums of the exact p_k and p_k**2; a window of exact values reads its sums
+    as prefix differences, and a window holding a float sums directly, so a
+    late window cannot cancel.
     """
 
     def __init__(
@@ -97,6 +135,7 @@ class IndependentSequence:
         horizon: int | None = None,
     ):
         self.horizon = horizon
+        self._constant: Number | None = None
         if callable(probability):
             self._fn: Callable[[int], Number] = lambda k: _as_probability(
                 probability(k)
@@ -109,31 +148,89 @@ class IndependentSequence:
                 self.horizon = len(values)
             self._fn = lambda k: values[k - 1]
         else:
-            constant = _as_probability(probability)
+            constant = self._constant = _as_probability(probability)
             self._fn = lambda k: constant
+        self._restart(1)
 
     def probability(self, k: int) -> Number:
         if k < 1 or (self.horizon is not None and k > self.horizon):
             raise ValueError(f"event index {k} outside the model horizon")
         return self._fn(k)
 
-    def window_moments(self, m: int, n: int) -> list[tuple[Number, Number, Number]]:
-        ps = [self.probability(k) for k in range(m, n + 1)]
-        s1 = sum(ps)
-        s2 = sum(p * p for p in ps)
-        rows = []
-        for p in ps:
-            t1 = s1 - p
-            t2 = s2 - p * p
-            e1 = p * (1 + t1)
-            e2 = p * (1 + 3 * t1 + t1 * t1 - t2)
-            rows.append((p, e1, e2))
-        return rows
+    def _check_indices(self, m: int, n: int) -> None:
+        """Raise for the first index of m..n outside the horizon, if any."""
+        self.probability(m)
+        self.probability(n if self.horizon is None else min(n, self.horizon + 1))
+
+    def _restart(self, lo: int) -> None:
+        # the evaluated block p_lo, p_lo+1, ... with prefix sums over it: of
+        # the exact values, of their squares, and a count of the floats
+        self._lo = lo
+        self._ps: list[Number] = []
+        self._s1: list[Number] = [0]
+        self._s2: list[Number] = [0]
+        self._floats = [0]
+
+    def _append(self, p: Number) -> None:
+        exact = is_exact(p)
+        self._ps.append(p)
+        self._s1.append(self._s1[-1] + p if exact else self._s1[-1])
+        self._s2.append(self._s2[-1] + p * p if exact else self._s2[-1])
+        self._floats.append(self._floats[-1] + (not exact))
+
+    def _block(self, m: int, n: int) -> tuple[int, int]:
+        """Evaluate p_m..p_n into the block; return their block offsets."""
+        if not self._ps:
+            self._restart(m)
+        elif m < self._lo:
+            values = [self.probability(k) for k in range(m, self._lo)] + self._ps
+            self._restart(m)
+            for p in values:
+                self._append(p)
+        for k in range(self._lo + len(self._ps), n + 1):
+            self._append(self.probability(k))
+        return m - self._lo, n - self._lo + 1
+
+    def _sums(self, i: int, j: int) -> tuple[Number, Number]:
+        """Sums of p and p**2 over the block offsets i..j-1."""
+        if self._floats[j] == self._floats[i]:
+            return self._s1[j] - self._s1[i], self._s2[j] - self._s2[i]
+        values = self._ps[i:j]
+        return sum(values), sum(p * p for p in values)
+
+    @staticmethod
+    def _constant_sums(p: Number, width: int) -> tuple[Number, Number]:
+        if is_exact(p):
+            return width * p, width * p * p
+        return sum(repeat(p, width)), sum(repeat(p * p, width))  # a direct sum
+
+    @staticmethod
+    def _row(p: Number, s1: Number, s2: Number) -> Row:
+        t1 = s1 - p
+        t2 = s2 - p * p
+        return (p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2))
+
+    def window_moments(self, m: int, n: int) -> Runs:
+        if m > n:
+            return []
+        p = self._constant
+        if p is not None:
+            self._check_indices(m, n)
+            width = n - m + 1
+            return [(self._row(p, *self._constant_sums(p, width)), width)]
+        i, j = self._block(m, n)
+        s1, s2 = self._sums(i, j)
+        return [(self._row(p, s1, s2), count) for p, count in _runs(self._ps[i:j])]
 
     def alpha_moments(self, n: int) -> tuple[Number, Number]:
-        ps = [self.probability(k) for k in range(1, n + 1)]
-        s1 = sum(ps)
-        s2 = sum(p * p for p in ps)
+        if n < 1:
+            return 0, 0
+        p = self._constant
+        if p is not None:
+            self._check_indices(1, n)
+            s1, s2 = self._constant_sums(p, n)
+        else:
+            s1, s2 = self._sums(*self._block(1, n))
         return s1, s1 + s1 * s1 - s2
 
 
@@ -149,10 +246,11 @@ class IdenticalSequence:
         self.p = _as_probability(p)
         self.horizon = horizon
 
-    def window_moments(self, m: int, n: int) -> list[tuple[Number, Number, Number]]:
+    def window_moments(self, m: int, n: int) -> Runs:
         width = n - m + 1
-        row = (self.p, width * self.p, width * width * self.p)
-        return [row] * width
+        if width < 1:
+            return []
+        return [((self.p, width * self.p, width * width * self.p), width)]
 
     def alpha_moments(self, n: int) -> tuple[Number, Number]:
         return n * self.p, n * n * self.p
@@ -164,6 +262,16 @@ def _check_window(model: SequenceModel, m: int, n: int) -> None:
     horizon = getattr(model, "horizon", None)
     if horizon is not None and n > horizon:
         raise ValueError(f"n = {n} exceeds the model horizon {horizon}")
+
+
+def _total(runs: list[tuple[Number, int]]) -> Number:
+    """The sum of count * term over the runs, added in a balanced tree."""
+    return balanced_sum([term * count for term, count in runs], Fraction(0))
+
+
+def _expand(runs: list[tuple[Number, int]]) -> tuple[Number, ...]:
+    """The per-k terms of the runs, in k order."""
+    return tuple(term for term, count in runs for _ in range(count))
 
 
 def bc_lower_estimate(
@@ -178,29 +286,25 @@ def bc_lower_estimate(
     along a subsequence, value tends to P(A_n i.o.). 0/0 terms read as 0.
     """
     _check_window(model, 1, n)
-    rows = model.window_moments(1, n)
-    total: Number = Fraction(0)
-    condition: Number = Fraction(0)
-    terms: list[Number] | None = [] if keep_terms else None
-    for p, e1, e2 in rows:
+    terms = []
+    conditions = []
+    for (p, e1, e2), count in model.window_moments(1, n):
         miss1 = n * p - e1  # E (n - X) I_k
         missx = n * e1 - e2  # E (n - X) X I_k
         if missx > 0:
             gain = miss1 * miss1 / missx
-            condition = condition + miss1 / missx
+            conditions.append((miss1 / missx, count))
         else:
             gain = Fraction(0)
-        total = total + p + gain
-        if terms is not None:
-            terms.append(p + gain)
-    value = total / n
+        terms.append((p + gain, count))
+    value = _total(terms) / n
     return BCEstimate(
         n,
         1,
         value,
         value,
-        condition / n,
-        tuple(terms) if terms is not None else None,
+        _total(conditions) / n,
+        _expand(terms) if keep_terms else None,
     )
 
 
@@ -216,31 +320,27 @@ def bc_upper_estimate(
     bound for P(union of A_m..A_n) at every finite window. 0/0 reads as 0.
     """
     _check_window(model, m, n)
-    rows = model.window_moments(m, n)
-    value: Number = Fraction(0)
-    window: Number = Fraction(0)
-    condition: Number = Fraction(0)
-    terms: list[Number] | None = [] if keep_terms else None
-    for p, e1, e2 in rows:
+    terms = []
+    windows = []
+    conditions = []
+    for (p, e1, e2), count in model.window_moments(m, n):
         if e2 > 0:
             drop = e1 * e1 / e2
-            condition = condition + e1 / e2
+            conditions.append((e1 / e2, count))
         else:
             drop = Fraction(0)
         num = e1 - p  # E (X - 1) I_k
         den = e2 - e1  # E X (X - 1) I_k
         sharp = num * num / den if den > 0 else Fraction(0)
-        value = value + p - drop
-        window = window + p - sharp
-        if terms is not None:
-            terms.append(p - drop)
+        terms.append((p - drop, count))
+        windows.append((p - sharp, count))
     return BCEstimate(
         n,
         m,
-        value,
-        window,
-        condition,
-        tuple(terms) if terms is not None else None,
+        _total(terms),
+        _total(windows),
+        _total(conditions),
+        _expand(terms) if keep_terms else None,
     )
 
 

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Iterable
 
 from ._numeric import Number, integral_value, rpow
-from .bounds import ExponentParams, MomentVector
 
 JointRow = tuple[tuple[int, int], ...]  # (level i, D * P(xi = i, A_k)) pairs
 
@@ -215,15 +214,6 @@ class PerEventMoments:
     rho: Number
     n_events: int
     sbar: tuple[tuple[Number, ...], ...]
-
-    @property
-    def ell(self) -> int:
-        return len(self.sbar)
-
-    def vector(self, k: int) -> MomentVector:
-        """Moment vector of event k over occupancy levels 1..N."""
-        params = ExponentParams(self.a, self.rho, self.ell, max(self.n_events, 1))
-        return MomentVector(tuple(row[k] for row in self.sbar), params)
 
 
 def per_event_moments(

@@ -144,6 +144,62 @@ def naive_per_event_upper_three(system: EventSystem) -> Fraction:
     return total
 
 
+# Per-k oracles of the finite-horizon estimators: the rows of a window one k
+# at a time, and the estimators as left-to-right running totals over them.
+
+
+def expand_runs(runs) -> list:
+    """The per-k rows of a window given as runs [(row, count), ...]."""
+    return [row for row, count in runs for _ in range(count)]
+
+
+def naive_independent_rows(probabilities) -> list[tuple]:
+    """(p_k, E X I_k, E X**2 I_k) per k for independent events, from plain
+    sums over the whole window."""
+    s1 = sum(probabilities)
+    s2 = sum(p * p for p in probabilities)
+    rows = []
+    for p in probabilities:
+        t1 = s1 - p
+        t2 = s2 - p * p
+        rows.append((p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2)))
+    return rows
+
+
+def naive_bc_lower(rows, n: int) -> tuple:
+    """(value, condition_value, per_k_terms) of the lower estimator."""
+    total = condition = Fraction(0)
+    terms = []
+    for p, e1, e2 in rows:
+        miss1 = n * p - e1
+        missx = n * e1 - e2
+        gain = Fraction(0)
+        if missx > 0:
+            gain = miss1 * miss1 / missx
+            condition = condition + miss1 / missx
+        total = total + p + gain
+        terms.append(p + gain)
+    return total / n, condition / n, tuple(terms)
+
+
+def naive_bc_upper(rows) -> tuple:
+    """(value, window_bound, condition_value, per_k_terms) of the upper
+    estimator."""
+    value = window = condition = Fraction(0)
+    terms = []
+    for p, e1, e2 in rows:
+        drop = Fraction(0)
+        if e2 > 0:
+            drop = e1 * e1 / e2
+            condition = condition + e1 / e2
+        num, den = e1 - p, e2 - e1
+        sharp = num * num / den if den > 0 else Fraction(0)
+        value = value + p - drop
+        window = window + p - sharp
+        terms.append(p - drop)
+    return value, window, condition, tuple(terms)
+
+
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:
     """Power moments of an explicit vector, all arithmetic over Fractions."""
     return tuple(

@@ -5,13 +5,23 @@ The independent model's closed-form window moments are checked against full
 bounds it must reproduce."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import sample_systems
+from conftest import (
+    expand_runs,
+    naive_bc_lower,
+    naive_bc_upper,
+    naive_independent_rows,
+    naive_per_event_moment,
+    naive_power_moment,
+    sample_systems,
+)
 from unionbounds import (
+    EventSystem,
     ExplicitSequence,
     IdenticalSequence,
     IndependentSequence,
@@ -20,6 +30,7 @@ from unionbounds import (
     build_system,
     exact_union_probability,
     kochen_stone_ratio,
+    random_system,
     union_bound,
 )
 
@@ -55,19 +66,21 @@ def test_independent_window_moments_match_enumeration():
         w = rng.randint(1, 6)
         probabilities = [Fraction(rng.randint(0, 4), 4) for _ in range(w)]
         model = IndependentSequence(probabilities)
-        assert model.window_moments(1, w) == enumerate_window_moments(probabilities)
+        rows = expand_runs(model.window_moments(1, w))
+        assert rows == enumerate_window_moments(probabilities)
 
 
 def test_independent_sub_window_uses_window_occupancy_only():
     probabilities = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)]
     model = IndependentSequence(probabilities)
-    assert model.window_moments(2, 4) == enumerate_window_moments(probabilities[1:])
+    rows = expand_runs(model.window_moments(2, 4))
+    assert rows == enumerate_window_moments(probabilities[1:])
 
 
 def test_half_probability_frozen_values():
     model = IndependentSequence(Fraction(1, 2))
-    rows = model.window_moments(1, 200)
-    p, e1, e2 = rows[0]
+    [((p, e1, e2), count)] = model.window_moments(1, 200)
+    assert count == 200
     assert p == Fraction(1, 2)
     assert 200 * p - e1 == Fraction(199, 4)  # E (n - X) I_k = 49.75
     assert 200 * e1 - e2 == 4975  # E (n - X) X I_k
@@ -150,7 +163,7 @@ def test_explicit_window_moments_shift():
         ["1/4", "1/4", "1/4", "1/4"], [[0, 1], [0, 2], [0, 3]]
     )
     model = ExplicitSequence(system)
-    rows = model.window_moments(2, 3)
+    rows = expand_runs(model.window_moments(2, 3))
     assert len(rows) == 2
     # X counts events 2 and 3 only: atom 0 lies in both, atoms 2 and 3 in one
     assert rows[0] == (Fraction(1, 2), Fraction(3, 4), Fraction(5, 4))
@@ -212,3 +225,184 @@ def test_probability_validation():
     model = IndependentSequence(lambda k: Fraction(2, k))
     with pytest.raises(ValueError):
         bc_lower_estimate(model, 3)  # callable yields p_1 = 2, rejected on use
+
+
+# The run-length path against the per-k oracles in conftest.
+
+
+def repeated_values(rng, count, choices):
+    """count values drawn from choices in runs of 1..4, so equal values
+    appear both next to each other and apart."""
+    values = []
+    while len(values) < count:
+        values.extend([rng.choice(choices)] * rng.randint(1, 4))
+    return values[:count]
+
+
+def oracle_rows(kind, source, m, n):
+    """The per-k rows of the window m..n, one k at a time."""
+    if kind == "independent":
+        return naive_independent_rows([source(k) for k in range(m, n + 1)])
+    if kind == "identical":
+        w = n - m + 1
+        return [(source, w * source, w * w * source)] * w
+    window = EventSystem(source.weights, source.events[m - 1 : n])
+    return [
+        tuple(naive_per_event_moment(window, k, j, 1, 1) for j in (1, 2, 3))
+        for k in range(window.n_events)
+    ]
+
+
+def oracle_kochen_stone(kind, source, n):
+    if kind == "independent":
+        ps = [source(k) for k in range(1, n + 1)]
+        s1, s2 = sum(ps), sum(p * p for p in ps)
+        return (s1 + s1 * s1 - s2) / (s1 * s1)
+    if kind == "identical":
+        return n * n * source / (n * source) ** 2
+    prefix = source.prefix(n)
+    return naive_power_moment(prefix, 2) / naive_power_moment(prefix, 1) ** 2
+
+
+def one_based(values):
+    return lambda k: values[k - 1]
+
+
+def exact_cases(rng):
+    cases = []
+    for _ in range(12):
+        values = repeated_values(
+            rng, rng.randint(1, 30), [Fraction(rng.randint(0, 5), 5) for _ in range(3)]
+        )
+        cases.append(("independent", one_based(values), IndependentSequence(values)))
+    constant = Fraction(2, 7)
+    cases.append(("independent", lambda k: constant, IndependentSequence(constant)))
+    ratio = Fraction(4, 5)
+    cases.append(
+        ("independent", lambda k: ratio**k, IndependentSequence(lambda k: ratio**k))
+    )
+    cases.append(("identical", Fraction(3, 8), IdenticalSequence(Fraction(3, 8))))
+    for system in sample_systems(6, seed=149, max_events=8):
+        cases.append(("explicit", system, ExplicitSequence(system)))
+    return cases
+
+
+def test_estimators_equal_per_k_oracle_exactly():
+    rng = random.Random(139)
+    for kind, source, model in exact_cases(rng):
+        top = model.horizon or 30
+        for n in sorted(rng.sample(range(1, top + 1), min(top, 5))):
+            m = rng.randint(1, n)
+            runs = model.window_moments(m, n)
+            assert sum(count for _, count in runs) == n - m + 1
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal
+            assert expand_runs(runs) == oracle_rows(kind, source, m, n)
+            lower = bc_lower_estimate(model, n, keep_terms=True)
+            value, condition, terms = naive_bc_lower(oracle_rows(kind, source, 1, n), n)
+            assert (lower.value, lower.condition_value) == (value, condition)
+            assert lower.per_k_terms == terms
+            upper = bc_upper_estimate(model, m, n, keep_terms=True)
+            value, window, condition, terms = naive_bc_upper(
+                oracle_rows(kind, source, m, n)
+            )
+            assert (upper.value, upper.window_bound) == (value, window)
+            assert upper.condition_value == condition
+            assert upper.per_k_terms == terms
+            if model.alpha_moments(n)[0]:
+                ratio = kochen_stone_ratio(model, n)
+                assert ratio == oracle_kochen_stone(kind, source, n)
+
+
+def assert_close(actual, expected):
+    assert isinstance(actual, float)
+    assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0)
+
+
+def test_float_estimators_agree_with_per_k_oracle():
+    rng = random.Random(151)
+    values = repeated_values(rng, 3000, [rng.random() for _ in range(40)])
+    models = (
+        (IndependentSequence(values), one_based(values)),
+        (IndependentSequence(lambda k: 0.97**k), lambda k: 0.97**k),
+        (IndependentSequence(0.3), lambda k: 0.3),
+    )
+    for model, source in models:
+        for m, n in ((1, 3000), (2996, 3000), (1500, 2200)):
+            rows = naive_independent_rows([source(k) for k in range(m, n + 1)])
+            upper = bc_upper_estimate(model, m, n)
+            value, window, condition, _ = naive_bc_upper(rows)
+            assert_close(upper.value, value)
+            assert_close(upper.window_bound, window)
+            assert_close(upper.condition_value, condition)
+        rows = naive_independent_rows([source(k) for k in range(1, 3001)])
+        lower = bc_lower_estimate(model, 3000)
+        value, condition, _ = naive_bc_lower(rows, 3000)
+        assert_close(lower.value, value)
+        assert_close(lower.condition_value, condition)
+
+
+def test_late_float_window_reads_a_direct_sum():
+    # A prefix difference of large float sums would cancel to noise here.
+    values = [0.5] * 2000 + [1e-9, 2e-9]
+    model = IndependentSequence(values)
+    bc_lower_estimate(model, len(values))  # fills the running sums
+    rows = expand_runs(model.window_moments(2001, 2002))
+    assert rows == naive_independent_rows(values[2000:])
+
+
+def test_grid_evaluates_each_probability_once():
+    calls = []
+
+    def probability(k):
+        calls.append(k)
+        return Fraction(1, 2 + k % 5)
+
+    model = IndependentSequence(probability)
+    for n in (10, 100, 300, 1000):
+        bc_lower_estimate(model, n)
+        bc_upper_estimate(model, 1, n)
+        bc_upper_estimate(model, max(1, n - 7), n)
+        kochen_stone_ratio(model, n)
+    assert sorted(calls) == list(range(1, 1001))
+
+
+def test_window_reads_only_its_own_probabilities():
+    # p_1 = 2 is invalid, but a window from m = 2 never evaluates it
+    model = IndependentSequence(lambda k: Fraction(2, k))
+    assert bc_upper_estimate(model, 2, 6).n == 6
+    assert expand_runs(model.window_moments(3, 4)) == naive_independent_rows(
+        [Fraction(2, 3), Fraction(1, 2)]
+    )
+    with pytest.raises(ValueError):
+        bc_lower_estimate(model, 3)
+
+
+def test_constant_probability_is_one_run():
+    runs = IndependentSequence(Fraction(1, 3)).window_moments(1, 10**6)
+    assert len(runs) == 1
+    row, count = runs[0]
+    assert count == 10**6
+    p, t1, t2 = Fraction(1, 3), Fraction(10**6 - 1, 3), Fraction(10**6 - 1, 9)
+    assert row == (p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2))
+    assert IdenticalSequence(Fraction(1, 3)).window_moments(5, 9) == [
+        ((Fraction(1, 3), Fraction(5, 3), Fraction(25, 3)), 5)
+    ]
+
+
+def test_explicit_row_makes_one_table_pass(monkeypatch):
+    table = EventSystem.__dict__["joint_table"]
+    passes = []
+    build = table.func
+
+    def counted(system):
+        passes.append(system.n_events)
+        return build(system)
+
+    monkeypatch.setattr(table, "func", counted)
+    model = ExplicitSequence(random_system(157, 6, 30, "dense"))
+    horizons = range(1, model.horizon + 1)
+    for n in list(horizons) + list(horizons):
+        bc_lower_estimate(model, n)
+        bc_upper_estimate(model, 1, n)
+        kochen_stone_ratio(model, n)
+    assert passes == list(horizons)

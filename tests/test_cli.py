@@ -279,6 +279,18 @@ def test_bc_grid_sorted_and_json(capsys):
     assert document["rows"][1]["kochen_stone"] == pytest.approx(101 / 100)
 
 
+def test_bc_constant_probability_long_horizon(capsys):
+    # one run of rows, so a horizon of 10**6 costs what a short one does
+    n, p = 10**6, Fraction(1, 3)
+    code = main(
+        ["bc", "--model", "independent", "--p", "1/3", "--n", str(n), "--format", "json"]
+    )
+    assert code == EXIT_OK
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["n"] == n
+    assert row["kochen_stone"] == float(1 + 1 / (n * p) - Fraction(1, n))
+
+
 def test_bc_explicit_model(s3_path, capsys):
     code = main(
         ["bc", "--model", "explicit", "--input", s3_path, "--n", "3", "--format", "csv"]
