@@ -23,10 +23,12 @@ from typing import Sequence
 
 from ._numeric import Number, is_exact
 from .bounds import (
+    WINDOW_PATTERNS,
     ExponentParams,
     MomentVector,
     lower_bound_three_moments,
     lower_bound_two_moments,
+    select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
@@ -70,13 +72,6 @@ def parse_number(text: str) -> Number:
 
 def format_number(value: Number) -> str:
     return f"{float(value):.12g}"
-
-
-def _number_doc(value: Number) -> str:
-    """Exact-friendly rendering for JSON and table metadata."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def load_system(path: str) -> EventSystem:
@@ -148,6 +143,82 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float(value: Number, column: str, label: str) -> float:
+    """The output's one number conversion: an exact value becomes a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise CliInputError(f"{column} at {label} is outside the float range") from None
+
+
+def _cell(value, column: str, label: str) -> str:
+    """Table and CSV text of one cell."""
+    if value is None or isinstance(value, str):
+        return value or ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, int):
+        return str(value)
+    return format_number(_float(value, column, label))
+
+
+def _json(value, key: str = "", label: str = ""):
+    """``value`` with every number that is not an integer made a float; an
+    object is labelled by its first field in errors."""
+    if isinstance(value, dict):
+        label = next((f"{k}={v}" for k, v in value.items()), label)
+        return {k: _json(v, k, label) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json(item, key, label) for item in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return _float(value, key, label)
+
+
+def _emit(
+    args: argparse.Namespace,
+    document: dict,
+    columns: Sequence[str],
+    sections: Sequence[tuple[str, str, list[tuple]]],
+    heading: Sequence[str] = (),
+    table_only: Sequence[str] = (),
+) -> None:
+    """Write one command's result in the format ``args.format`` names.
+
+    JSON writes ``document``. The table writes the ``heading`` lines, then
+    each (caption, tag, rows) section under its caption; CSV writes the rows
+    of all sections under one header, appends each section's tag to the
+    first cell and leaves out the ``table_only`` columns. A value outside
+    the float range is an input error that names its column and its row
+    (by the row's first cell or field).
+    """
+
+    def cells(row: tuple) -> list[str]:
+        label = f"{columns[0]}={row[0]}"
+        return [_cell(value, column, label) for column, value in zip(columns, row)]
+
+    if args.format == "json":
+        text = json.dumps(_json(document), indent=2) + "\n"
+    elif args.format == "csv":
+        kept = [i for i, column in enumerate(columns) if column not in table_only]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow([columns[i] for i in kept])
+        for _, tag, rows in sections:
+            for row in rows:
+                line = cells(row)
+                line[0] += tag
+                writer.writerow([line[i] for i in kept])
+        text = buffer.getvalue()
+    else:
+        blocks = list(heading)
+        for caption, _, rows in sections:
+            table = _render_table(columns, [cells(row) for row in rows])
+            blocks.append(f"\n{caption}\n{table}" if caption else table)
+        text = "\n".join(blocks)
+    write_text(args.output, text)
+
+
 # ---------------------------------------------------------------- bounds
 
 
@@ -164,106 +235,38 @@ def _exponent_pairs(args: argparse.Namespace) -> list[tuple[Number, Number]]:
     return list(zip(a_list, rho_list))
 
 
+_BOUNDS_COLUMNS = ("name", "kind", "value", "clamped", "exact", "pass", "note")
+
+
 def run_bounds(args: argparse.Namespace) -> int:
     system = load_system(args.input)
     if system.n_events == 0:
         raise CliInputError(f"{args.input}: the system has no events")
-    pairs = _exponent_pairs(args)
-    reports = [compare_bounds(system, a, rho) for a, rho in pairs]
+    reports = [compare_bounds(system, a, rho) for a, rho in _exponent_pairs(args)]
     exact = reports[0].exact
-
-    def shown(entry_value: Number | None, clamped: Number | None) -> Number | None:
-        return clamped if args.clamp else entry_value
-
-    if args.format == "json":
-        sections = []
-        for report in reports:
-            sections.append(
-                {
-                    "a": _number_doc(report.a),
-                    "rho": _number_doc(report.rho),
-                    "all_pass": report.all_pass,
-                    "entries": [
-                        {
-                            "name": entry.name,
-                            "kind": entry.kind,
-                            "value": None
-                            if entry.value is None
-                            else float(shown(entry.value, entry.clamped)),
-                            "clamped": None
-                            if entry.clamped is None
-                            else float(entry.clamped),
-                            "exact": float(exact),
-                            "pass": entry.passed,
-                            "value_exact": str(entry.value)
-                            if entry.value is not None and is_exact(entry.value)
-                            else None,
-                            "error": entry.error,
-                        }
-                        for entry in report.entries
-                    ],
-                }
-            )
-        text = (
-            json.dumps(
-                {
-                    "input": args.input,
-                    "exact": str(exact),
-                    "exact_float": float(exact),
-                    "sections": sections,
-                },
-                indent=2,
-            )
-            + "\n"
+    document = {"input": args.input, "exact": str(exact), "exact_float": exact}
+    document["sections"], sections = [], []
+    for report in reports:
+        rows, entries = [], []
+        for entry in report.entries:
+            value = entry.clamped if args.clamp else entry.value
+            row = (entry.name, entry.kind, value, entry.clamped, exact, entry.passed)
+            rows.append((*row, entry.error or ""))
+            value_exact = str(entry.value) if is_exact(entry.value) else None
+            entries.append(dict(zip(_BOUNDS_COLUMNS, row)))
+            entries[-1].update(value_exact=value_exact, error=entry.error)
+        a, rho = str(report.a), str(report.rho)
+        document["sections"].append(
+            {"a": a, "rho": rho, "all_pass": report.all_pass, "entries": entries}
         )
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["name", "kind", "value", "clamped", "exact", "pass"])
-        for report, (a, rho) in zip(reports, pairs):
-            suffix = "" if (a, rho) == (1, 1) else f"[a={a} rho={rho}]"
-            for entry in report.entries:
-                display = shown(entry.value, entry.clamped)
-                writer.writerow(
-                    [
-                        entry.name + suffix,
-                        entry.kind,
-                        "" if display is None else format_number(display),
-                        "" if entry.clamped is None else format_number(entry.clamped),
-                        format_number(exact),
-                        "yes" if entry.passed else "no",
-                    ]
-                )
-        text = buffer.getvalue()
-    else:
-        blocks = [
-            f"input: {args.input}",
-            f"exact union probability: {exact} ({format_number(exact)})",
-        ]
-        for report, (a, rho) in zip(reports, pairs):
-            rows = []
-            for entry in report.entries:
-                display = shown(entry.value, entry.clamped)
-                rows.append(
-                    [
-                        entry.name,
-                        entry.kind,
-                        "" if display is None else format_number(display),
-                        "" if entry.clamped is None else format_number(entry.clamped),
-                        format_number(exact),
-                        "yes" if entry.passed else "no",
-                        entry.error or "",
-                    ]
-                )
-            blocks.append(
-                f"\na={_number_doc(a)} rho={_number_doc(rho)}\n"
-                + _render_table(
-                    ("name", "kind", "value", "clamped", "exact", "pass", "note"),
-                    rows,
-                )
-            )
-        text = "\n".join(blocks) + "\n" if not blocks[-1].endswith("\n") else "\n".join(blocks)
-    write_text(args.output, text)
+        caption = f"a={a} rho={rho}"
+        tag = "" if (report.a, report.rho) == (1, 1) else f"[{caption}]"
+        sections.append((caption, tag, rows))
+    heading = (
+        f"input: {args.input}",
+        f"exact union probability: {exact} ({format_number(exact)})",
+    )
+    _emit(args, document, _BOUNDS_COLUMNS, sections, heading, table_only=("note",))
     return EXIT_OK if all(report.all_pass for report in reports) else EXIT_VIOLATION
 
 
@@ -309,84 +312,28 @@ def _build_model(args: argparse.Namespace):
         raise CliInputError(str(exc)) from exc
 
 
+_BC_COLUMNS = (
+    "n", "m", "lower", "lower_condition",
+    "upper", "upper_window", "upper_condition", "kochen_stone",
+)
+
+
 def run_bc(args: argparse.Namespace) -> int:
     model = _build_model(args)
-    horizons = sorted(set(args.n))
     rows = []
-    for n in horizons:
+    for n in sorted(set(args.n)):
         try:
             lower = bc_lower_estimate(model, n)
             upper = bc_upper_estimate(model, args.m, n)
             ratio = kochen_stone_ratio(model, n)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-        rows.append(
-            {
-                "n": n,
-                "m": args.m,
-                "lower": lower.value,
-                "lower_condition": lower.condition_value,
-                "upper": upper.value,
-                "upper_window": upper.window_bound,
-                "upper_condition": upper.condition_value,
-                "kochen_stone": ratio,
-            }
-        )
-    columns = (
-        "n",
-        "m",
-        "lower",
-        "lower_condition",
-        "upper",
-        "upper_window",
-        "upper_condition",
-        "kochen_stone",
-    )
-    if args.format == "json":
-        text = (
-            json.dumps(
-                {
-                    "model": args.model,
-                    "rows": [
-                        {
-                            key: row[key]
-                            if isinstance(row[key], int)
-                            else float(row[key])
-                            for key in columns
-                        }
-                        for row in rows
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row["n"]),
-                    str(row["m"]),
-                    *(format_number(row[key]) for key in columns[2:]),
-                ]
-            )
-        text = buffer.getvalue()
-    else:
-        text = _render_table(
-            columns,
-            [
-                [
-                    str(row["n"]),
-                    str(row["m"]),
-                    *(format_number(row[key]) for key in columns[2:]),
-                ]
-                for row in rows
-            ],
-        )
-    write_text(args.output, text)
+        rows.append((
+            n, args.m, lower.value, lower.condition_value,
+            upper.value, upper.window_bound, upper.condition_value, ratio,
+        ))
+    document = {"model": args.model, "rows": [dict(zip(_BC_COLUMNS, r)) for r in rows]}
+    _emit(args, document, _BC_COLUMNS, [("", "", rows)])
     return EXIT_OK
 
 
@@ -409,50 +356,43 @@ def reference_system(name: str) -> EventSystem:
     raise ValueError(f"unknown reference system {name!r}")
 
 
+# pattern -> (bound, smallest n, range of m as (low, offset from n) or None)
+_SHARPNESS_CASES = {
+    "lower_ell2": (lower_bound_two_moments, 2, (2, 0)),
+    "upper_ell2": (upper_bound_two_moments, 2, None),
+    "lower_ell3": (lower_bound_three_moments, 3, (2, -1)),
+    "upper_ell3": (upper_bound_three_moments, 3, (3, 0)),
+}
+
+
 def _sharpness_trial(rng: random.Random) -> str | None:
     """One sharpness case: a vector supported on a bound's own index window
-    must achieve the bound exactly. Returns an error string on failure."""
+    (from ``select_index_window`` at delta = m - 1) must achieve the bound
+    exactly. Returns an error string on failure."""
     a = rng.choice((1, 2))
     rho = rng.choice((1, 2))
-    pattern = rng.choice(("lower_ell2", "upper_ell2", "lower_ell3", "upper_ell3"))
-    if pattern == "lower_ell2":
-        n = rng.randint(2, 9)
-        m = rng.randint(2, n)
-        window, ell = (m - 1, m), 2
-    elif pattern == "upper_ell2":
-        n = rng.randint(2, 9)
-        window, ell = (1, n), 2
-    elif pattern == "lower_ell3":
-        n = rng.randint(3, 9)
-        m = rng.randint(2, n - 1)
-        window, ell = (m - 1, m, n), 3
-    else:
-        n = rng.randint(3, 9)
-        m = rng.randint(3, n)
-        window, ell = (1, m - 1, m), 3
+    pattern = rng.choice(WINDOW_PATTERNS)
+    bound, smallest, m_range = _SHARPNESS_CASES[pattern]
+    n = rng.randint(smallest, 9)
+    m = 1 if m_range is None else rng.randint(m_range[0], n + m_range[1])
+    window = select_index_window(m - 1, pattern, n)
     vector = [Fraction(0)] * n
     for index in window:
         vector[index - 1] = Fraction(rng.randint(0, 8), rng.randint(1, 9))
-    params = ExponentParams(a, rho, ell, n)
-    moments = MomentVector.from_vector(vector, params)
-    if pattern == "lower_ell2":
-        bound = lower_bound_two_moments(moments)
-    elif pattern == "upper_ell2":
-        bound = upper_bound_two_moments(moments)
-    elif pattern == "lower_ell3":
-        bound = lower_bound_three_moments(moments)
-    else:
-        bound = upper_bound_three_moments(moments)
-    total = sum(vector)
-    if bound != total:
+    params = ExponentParams(a, rho, len(window), n)
+    got, total = bound(MomentVector.from_vector(vector, params)), sum(vector)
+    if got != total:
         return (
             f"{pattern} a={a} rho={rho} n={n} window={window}: "
-            f"bound {bound} != exact sum {total}"
+            f"bound {got} != exact sum {total}"
         )
     return None
 
 
 def run_selftest(args: argparse.Namespace) -> int:
+    for option in ("sharpness", "systems"):
+        if getattr(args, option) < 0:
+            raise CliInputError(f"--{option} must be non-negative")
     failures: list[str] = []
     lines: list[str] = []
     rng = random.Random(args.seed)

@@ -237,7 +237,7 @@ def _sandwich_ok(kind: str, value: Number, exact: Fraction, tol: float) -> bool:
 def _clamp(value: Number) -> Number:
     """value pushed into [0, 1] in its own arithmetic."""
     if is_exact(value):
-        return min(max(value, 0), 1)
+        return min(max(value, Fraction(0)), Fraction(1))
     return min(max(value, 0.0), 1.0)
 
 

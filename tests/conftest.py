@@ -10,22 +10,24 @@ from fractions import Fraction
 
 import pytest
 
-from unionbounds import EventSystem, build_system, random_system
-
-S2_WEIGHTS = ("1/4", "1/4", "1/4", "1/4")
-S2_EVENTS = ((0, 1), (0, 2))
-S3_WEIGHTS = ("1/10", "1/5", "1/4", "3/20", "1/5", "1/10")
-S3_EVENTS = ((0, 1, 2), (1, 3), (2, 3, 4))
+from unionbounds import EventSystem, random_system
+from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
+    S2_EVENTS,
+    S2_WEIGHTS,
+    S3_EVENTS,
+    S3_WEIGHTS,
+    reference_system,
+)
 
 
 @pytest.fixture
 def s2() -> EventSystem:
-    return build_system(S2_WEIGHTS, S2_EVENTS)
+    return reference_system("s2")
 
 
 @pytest.fixture
 def s3() -> EventSystem:
-    return build_system(S3_WEIGHTS, S3_EVENTS)
+    return reference_system("s3")
 
 
 def naive_union_probability(system: EventSystem) -> Fraction:

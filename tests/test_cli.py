@@ -4,15 +4,18 @@ import json
 import os
 import stat
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import S2_EVENTS, S2_WEIGHTS, S3_EVENTS, S3_WEIGHTS
-from unionbounds import BOUND_NAMES, cli
+from unionbounds import BOUND_NAMES, cli, unions
+from unionbounds.bounds import MomentConsistencyError
 from unionbounds.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VIOLATION,
+    FORMATS,
     CliInputError,
     format_number,
     load_system,
@@ -41,6 +44,58 @@ def s2_path(tmp_path):
 @pytest.fixture
 def s3_path(tmp_path):
     return write_system(tmp_path, S3_WEIGHTS, S3_EVENTS)
+
+
+# Exact output of `bounds` and `bc` in every format, pinned byte for byte.
+# Each case runs in a fresh directory holding the s3 system as "s3.json";
+# its stdout must equal tests/golden/<case>.<format>.
+GOLDEN = Path(__file__).parent / "golden"
+S3_INPUT = ["--input", "s3.json"]
+GOLDEN_CASES = {
+    "bounds": (["bounds", *S3_INPUT], EXIT_OK),
+    "bounds_sections": (
+        ["bounds", *S3_INPUT, "--a", "1", "--rho", "1", "--a", "3/2", "--rho", "5/4"],
+        EXIT_OK,
+    ),
+    "bounds_clamp": (["bounds", *S3_INPUT, "--clamp"], EXIT_OK),
+    # lower_bound_two_moments_simple raises, so its rows carry an error note
+    "bounds_error": (["bounds", *S3_INPUT], EXIT_VIOLATION),
+    "bc_independent": (
+        ["bc", "--model", "independent", "--n", "5", "--n", "2", "--m", "2"]
+        + [arg for p in ("1/3", "1/4", "1/5", "1/6", "1/7") for arg in ("--p", p)],
+        EXIT_OK,
+    ),
+    "bc_geometric": (
+        ["bc", "--model", "geometric", "--p", "1/2", "--n", "12", "--n", "5"]
+        + ["--m", "3"],
+        EXIT_OK,
+    ),
+    "bc_identical": (
+        ["bc", "--model", "identical", "--p", "2/3", "--n", "30", "--n", "7"],
+        EXIT_OK,
+    ),
+    "bc_explicit": (
+        ["bc", "--model", "explicit", *S3_INPUT, "--n", "3", "--n", "2", "--m", "2"],
+        EXIT_OK,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
+    argv, code = GOLDEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_system(tmp_path, S3_WEIGHTS, S3_EVENTS, "s3.json")
+    if case == "bounds_error":
+
+        def refuse(moments, tolerance=None):
+            raise MomentConsistencyError("moments refused")
+
+        monkeypatch.setattr(unions, "lower_bound_two_moments_simple", refuse)
+    assert main([*argv, "--format", fmt]) == code
+    want = (GOLDEN / f"{case}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_parse_number():
@@ -326,6 +381,17 @@ def test_bc_identical_model(capsys):
     assert parts[7] == "1.5"
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bc_value_outside_float_range_is_an_input_error(fmt, capsys):
+    # kochen_stone is about 10**400 here; no float holds it
+    p = "1/1" + "0" * 400
+    code = main(["bc", "--model", "independent", "--p", p, "--n", "10", "--format", fmt])
+    assert code == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: kochen_stone at n=10 is outside the float range\n"
+
+
 def test_bc_usage_errors(s3_path, capsys):
     assert main(["bc", "--model", "independent", "--n", "5"]) == EXIT_INPUT_ERROR
     assert "requires --p" in capsys.readouterr().err
@@ -352,6 +418,14 @@ def test_selftest_passes(capsys):
     assert code == EXIT_OK
     assert "selftest: PASS" in out
     assert "sharpness: 5/5 exact equalities" in out
+
+
+@pytest.mark.parametrize("option", ["--sharpness", "--systems"])
+def test_selftest_rejects_negative_counts(option, capsys):
+    assert main(["selftest", option, "-5"]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {option} must be non-negative\n"
 
 
 def test_selftest_inject_violation(capsys):

@@ -135,7 +135,7 @@ def test_compare_bounds_clamps_into_unit_interval(s3):
     report = compare_bounds(s3)
     upper_two = report.entry("occupancy_upper_two")
     assert upper_two.value == Fraction(11, 10)
-    assert upper_two.clamped == 1
+    assert upper_two.clamped == 1 and isinstance(upper_two.clamped, Fraction)
     assert upper_two.passed
 
 
