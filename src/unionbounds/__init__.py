@@ -24,14 +24,12 @@ from .bounds import (
     MomentConsistencyError,
     MomentVector,
     delta_decomposition,
-    exhaustive_index_search,
     general_bound,
     holder_lower_bound,
     inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
-    power_feature_matrix,
     select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,
@@ -47,12 +45,10 @@ from .borel_cantelli import (
 )
 from .events import (
     EventSystem,
-    JointOccupancy,
     OccupancyProfile,
     PerEventMoments,
     build_system,
     exact_union_probability,
-    joint_occupancy,
     occupancy_profile,
     per_event_moments,
     power_moments,
@@ -85,7 +81,6 @@ __all__ = [
     "IdenticalSequence",
     "IndependentSequence",
     "InfeasibleIndicesError",
-    "JointOccupancy",
     "MomentConsistencyError",
     "MomentVector",
     "OccupancyProfile",
@@ -99,12 +94,10 @@ __all__ = [
     "compare_bounds",
     "delta_decomposition",
     "exact_union_probability",
-    "exhaustive_index_search",
     "general_bound",
     "holder_lower_bound",
     "holder_union_bound",
     "inequality_tolerance",
-    "joint_occupancy",
     "kochen_stone_ratio",
     "lower_bound_three_moments",
     "lower_bound_two_moments",
@@ -112,7 +105,6 @@ __all__ = [
     "occupancy_moment_vector",
     "occupancy_profile",
     "per_event_moments",
-    "power_feature_matrix",
     "power_moments",
     "random_system",
     "select_index_window",

@@ -68,7 +68,6 @@ class BCEstimate:
     value: Number
     window_bound: Number
     condition_value: Number
-    per_k_terms: tuple[Number, ...] | None = None
 
 
 class ExplicitSequence:
@@ -269,14 +268,25 @@ def _total(runs: list[tuple[Number, int]]) -> Number:
     return balanced_sum([term * count for term, count in runs], Fraction(0))
 
 
-def _expand(runs: list[tuple[Number, int]]) -> tuple[Number, ...]:
-    """The per-k terms of the runs, in k order."""
-    return tuple(term for term, count in runs for _ in range(count))
+def _window(model: SequenceModel, m: int, n: int) -> Runs:
+    """model.window_moments(m, n), shared by consecutive estimates.
+
+    The model keeps its latest window only, so the lower and upper estimates
+    of one horizon row at m = 1 build the rows once. Models are read as
+    fixed once made; one that takes no new attributes is not cached.
+    """
+    last = getattr(model, "_last_window", None)
+    if last is not None and last[0] == (m, n):
+        return last[1]
+    runs = model.window_moments(m, n)
+    try:
+        model._last_window = ((m, n), runs)  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    return runs
 
 
-def bc_lower_estimate(
-    model: SequenceModel, n: int, *, keep_terms: bool = False
-) -> BCEstimate:
+def bc_lower_estimate(model: SequenceModel, n: int) -> BCEstimate:
     """Averaged per-event lower estimator over the first n events.
 
     value = (1/n) sum_k [P(A_k) + (E Y I_k)**2 / (E Y X I_k)] with
@@ -288,7 +298,7 @@ def bc_lower_estimate(
     _check_window(model, 1, n)
     terms = []
     conditions = []
-    for (p, e1, e2), count in model.window_moments(1, n):
+    for (p, e1, e2), count in _window(model, 1, n):
         miss1 = n * p - e1  # E (n - X) I_k
         missx = n * e1 - e2  # E (n - X) X I_k
         if missx > 0:
@@ -298,19 +308,10 @@ def bc_lower_estimate(
             gain = Fraction(0)
         terms.append((p + gain, count))
     value = _total(terms) / n
-    return BCEstimate(
-        n,
-        1,
-        value,
-        value,
-        _total(conditions) / n,
-        _expand(terms) if keep_terms else None,
-    )
+    return BCEstimate(n, 1, value, value, _total(conditions) / n)
 
 
-def bc_upper_estimate(
-    model: SequenceModel, m: int, n: int, *, keep_terms: bool = False
-) -> BCEstimate:
+def bc_upper_estimate(model: SequenceModel, m: int, n: int) -> BCEstimate:
     """Per-event upper partial sum over the window m..n.
 
     value = sum_k [P(A_k) - (E X I_k)**2 / E X**2 I_k]; its limit in n, then
@@ -323,7 +324,7 @@ def bc_upper_estimate(
     terms = []
     windows = []
     conditions = []
-    for (p, e1, e2), count in model.window_moments(m, n):
+    for (p, e1, e2), count in _window(model, m, n):
         if e2 > 0:
             drop = e1 * e1 / e2
             conditions.append((e1 / e2, count))
@@ -334,14 +335,7 @@ def bc_upper_estimate(
         sharp = num * num / den if den > 0 else Fraction(0)
         terms.append((p - drop, count))
         windows.append((p - sharp, count))
-    return BCEstimate(
-        n,
-        m,
-        _total(terms),
-        _total(windows),
-        _total(conditions),
-        _expand(terms) if keep_terms else None,
-    )
+    return BCEstimate(n, m, _total(terms), _total(windows), _total(conditions))
 
 
 def kochen_stone_ratio(model: SequenceModel, n: int) -> Number:

@@ -13,7 +13,6 @@ tolerances are used. Every function is pure and safe for concurrent use.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -617,8 +616,8 @@ def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
     ((E xi)**p / E xi**p) ** (q/p) with 1/p + 1/q = 1. p = 2 recovers the
     classic second-moment bound; larger p never improves on it.
     """
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
     if alpha1 < 0 or alphap < 0:
         raise ValueError("moments must be non-negative")
     if alpha1 == 0:
@@ -627,14 +626,6 @@ def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
         raise ValueError("alphap must be positive when alpha1 is")
     p_f = float(p)
     return (float(alpha1) ** p_f / float(alphap)) ** (1.0 / (p_f - 1.0))
-
-
-def power_feature_matrix(params: ExponentParams) -> tuple[tuple[Number, ...], ...]:
-    """Feature rows f[k][i-1] = i**(a + (k-1)*rho), i = 1..n_support."""
-    return tuple(
-        tuple(rpow(i, e) for i in range(1, params.n_support + 1))
-        for e in params.exponents
-    )
 
 
 def general_bound(
@@ -749,36 +740,3 @@ def select_index_window(
         m = min(max(1 + base, 3), n)
         return (1, m - 1, m)
     raise ValueError(f"unknown pattern {pattern!r}; expected one of {WINDOW_PATTERNS}")
-
-
-def exhaustive_index_search(
-    features: Sequence[Sequence[Number]],
-    sbar: Sequence[Number],
-    direction: str,
-    *,
-    tolerance: float | None = None,
-) -> GeneralBoundOutcome | None:
-    """Best certified window over all index combinations, or None.
-
-    Brute-force research helper for small supports; the closed-form window
-    selectors are the fast path.
-    """
-    rows = [tuple(row) for row in features]
-    if not rows:
-        raise ValueError("at least one feature row is required")
-    n = len(rows[0])
-    best: GeneralBoundOutcome | None = None
-    for combo in itertools.combinations(range(1, n + 1), len(rows)):
-        try:
-            outcome = general_bound(
-                rows, sbar, combo, direction, tolerance=tolerance
-            )
-        except (CertificateError, InfeasibleIndicesError, ValueError):
-            continue
-        if best is None:
-            best = outcome
-        elif direction == "lower" and outcome.bound_value > best.bound_value:
-            best = outcome
-        elif direction == "upper" and outcome.bound_value < best.bound_value:
-            best = outcome
-    return best

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from typing import Iterable
 
 from ._numeric import Number, integral_value, rpow
@@ -39,17 +40,6 @@ class EventSystem:
     @property
     def n_events(self) -> int:
         return len(self.events)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Events as atom bitmasks."""
-        out = []
-        for event in self.events:
-            mask = 0
-            for atom in event:
-                mask |= 1 << atom
-            out.append(mask)
-        return tuple(out)
 
     @property
     def occupancy_counts(self) -> tuple[int, ...]:
@@ -83,24 +73,12 @@ class EventSystem:
             rows.append(tuple(row.items()))
         return denominator, tuple(levels), tuple(rows)
 
-    def event_probability(self, k: int) -> Fraction:
-        """P(A_k) for the 0-based event position k."""
-        return sum((self.weights[atom] for atom in self.events[k]), Fraction(0))
-
-    def mask_probability(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     def intersection_probability(self, positions: Iterable[int]) -> Fraction:
         """P of the intersection of the listed events (Omega if empty)."""
-        mask = (1 << self.n_atoms) - 1
+        atoms = set(range(self.n_atoms))
         for k in positions:
-            mask &= self.masks[k]
-        return self.mask_probability(mask)
+            atoms.intersection_update(self.events[k])
+        return sum((self.weights[atom] for atom in atoms), Fraction(0))
 
     def prefix(self, n: int) -> "EventSystem":
         """The subsystem keeping only the first n events."""
@@ -176,29 +154,24 @@ def occupancy_profile(system: EventSystem) -> OccupancyProfile:
     return OccupancyProfile(tuple(Fraction(v, denominator) for v in levels))
 
 
-@dataclass(frozen=True)
-class JointOccupancy:
-    """p[i-1][k] = P(exactly i events occur and event k occurs)."""
+def power_moments(system: EventSystem, k: Number) -> Number:
+    """alpha_k = E xi**k where xi counts how many events occur.
 
-    p: tuple[tuple[Fraction, ...], ...]
-
-
-def joint_occupancy(system: EventSystem) -> JointOccupancy:
-    n = system.n_events
-    denominator, _, table = system.joint_table
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for k, row in enumerate(table):
-        for i, v in row:
-            rows[i - 1][k] = Fraction(v, denominator)
-    return JointOccupancy(tuple(tuple(row) for row in rows))
-
-
-def power_moments(system: EventSystem, k: int) -> Fraction:
-    """alpha_k = E xi**k where xi counts how many events occur."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    Exact for an integral k. Any other positive finite k gives a float,
+    summed over the occupied levels in level order. This is the one place
+    the library sums i**k * P(xi = i).
+    """
+    if isinstance(k, bool) or not isinstance(k, Real) or not 0 < k < math.inf:
+        raise ValueError(f"k must be a positive finite number, got {k!r}")
     denominator, levels, _ = system.joint_table
-    return Fraction(sum(i**k * v for i, v in enumerate(levels)), denominator)
+    e = integral_value(k)
+    if e is not None:
+        return Fraction(sum(i**e * v for i, v in enumerate(levels)), denominator)
+    total: Number = Fraction(0)
+    for i, v in enumerate(levels):
+        if i and v:
+            total = total + rpow(i, k) * (v / denominator)
+    return total
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,20 @@ plain set logic and Fraction powers, independently of the package internals,
 so agreement between the two is a meaningful check.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from unionbounds import EventSystem, random_system
+from unionbounds import (
+    CertificateError,
+    EventSystem,
+    InfeasibleIndicesError,
+    general_bound,
+    random_system,
+)
+from unionbounds._numeric import rpow
 from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
     S2_EVENTS,
     S2_WEIGHTS,
@@ -80,6 +88,27 @@ def naive_joint_occupancy(system: EventSystem) -> list[list[Fraction]]:
         for atom in event:
             rows[counts[atom] - 1][k] += system.weights[atom]
     return rows
+
+
+def profile_moment_vector(system: EventSystem, a, rho, ell: int) -> tuple:
+    """Occupancy moments sum_i i**e * P(xi = i) as a running total over the
+    occupancy profile, level by level, in the library's mixed arithmetic:
+    exact terms at integral e, float terms otherwise."""
+    profile = naive_occupancy_profile(system)
+    sbar = []
+    for j in range(ell):
+        total = Fraction(0)
+        for i in range(1, system.n_events + 1):
+            if profile[i]:
+                total = total + rpow(i, a + j * rho) * profile[i]
+        sbar.append(total)
+    return tuple(sbar)
+
+
+def profile_holder_moment(system: EventSystem, p: float) -> float:
+    """E xi**p in floats over the occupancy profile, for non-integral p."""
+    profile = naive_occupancy_profile(system)
+    return sum(float(weight) * i ** float(p) for i, weight in enumerate(profile) if i)
 
 
 # Independent closed forms of the classic and (1,1) union bounds, built from
@@ -169,9 +198,8 @@ def naive_independent_rows(probabilities) -> list[tuple]:
 
 
 def naive_bc_lower(rows, n: int) -> tuple:
-    """(value, condition_value, per_k_terms) of the lower estimator."""
+    """(value, condition_value) of the lower estimator."""
     total = condition = Fraction(0)
-    terms = []
     for p, e1, e2 in rows:
         miss1 = n * p - e1
         missx = n * e1 - e2
@@ -180,15 +208,12 @@ def naive_bc_lower(rows, n: int) -> tuple:
             gain = miss1 * miss1 / missx
             condition = condition + miss1 / missx
         total = total + p + gain
-        terms.append(p + gain)
-    return total / n, condition / n, tuple(terms)
+    return total / n, condition / n
 
 
 def naive_bc_upper(rows) -> tuple:
-    """(value, window_bound, condition_value, per_k_terms) of the upper
-    estimator."""
+    """(value, window_bound, condition_value) of the upper estimator."""
     value = window = condition = Fraction(0)
-    terms = []
     for p, e1, e2 in rows:
         drop = Fraction(0)
         if e2 > 0:
@@ -198,8 +223,40 @@ def naive_bc_upper(rows) -> tuple:
         sharp = num * num / den if den > 0 else Fraction(0)
         value = value + p - drop
         window = window + p - sharp
-        terms.append(p - drop)
-    return value, window, condition, tuple(terms)
+    return value, window, condition
+
+
+# Small-support oracles of the scalar layer: the power features of an
+# exponent family, and the best certified window over every index set.
+
+
+def power_feature_matrix(params) -> tuple[tuple, ...]:
+    """Feature rows f[k][i-1] = i**(a + (k-1)*rho), i = 1..n_support."""
+    return tuple(
+        tuple(rpow(i, e) for i in range(1, params.n_support + 1))
+        for e in params.exponents
+    )
+
+
+def exhaustive_index_search(features, sbar, direction: str):
+    """Best certified window over all C(n, ell) index sets, or None.
+
+    O(n**(ell+1)) general_bound solves, so for small supports only.
+    """
+    rows = [tuple(row) for row in features]
+    best = None
+    for combo in itertools.combinations(range(1, len(rows[0]) + 1), len(rows)):
+        try:
+            outcome = general_bound(rows, sbar, combo, direction)
+        except (CertificateError, InfeasibleIndicesError, ValueError):
+            continue
+        if (
+            best is None
+            or (direction == "lower" and outcome.bound_value > best.bound_value)
+            or (direction == "upper" and outcome.bound_value < best.bound_value)
+        ):
+            best = outcome
+    return best
 
 
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:

@@ -104,12 +104,33 @@ def test_lower_estimate_bounds_window_union():
         assert upper.window_bound >= union
 
 
-def test_lower_estimate_keep_terms():
-    model = IndependentSequence(Fraction(1, 2))
-    estimate = bc_lower_estimate(model, 5, keep_terms=True)
-    assert len(estimate.per_k_terms) == 5
-    assert sum(estimate.per_k_terms, Fraction(0)) / 5 == estimate.value
-    assert bc_lower_estimate(model, 5).per_k_terms is None
+def test_row_estimators_share_one_window():
+    # lower at (1, n) and upper at (1, n) read one window; a new (m, n)
+    # replaces it, so a model holds at most one
+    calls = []
+
+    class Counted(IndependentSequence):
+        def window_moments(self, m, n):
+            calls.append((m, n))
+            return super().window_moments(m, n)
+
+    model = Counted(lambda k: Fraction(1, k + 1))
+    fresh = IndependentSequence(lambda k: Fraction(1, k + 1))
+    for m, n in ((1, 6), (1, 6), (3, 6), (1, 6), (1, 9)):
+        assert bc_lower_estimate(model, n) == bc_lower_estimate(fresh, n)
+        assert bc_upper_estimate(model, m, n) == bc_upper_estimate(fresh, m, n)
+    assert calls == [(1, 6), (3, 6), (1, 6), (1, 9)]
+
+    class Frozen:  # a model that takes no new attributes is still served
+        __slots__ = ()
+        horizon = None
+
+        def window_moments(self, m, n):
+            return IndependentSequence(Fraction(1, 3)).window_moments(m, n)
+
+    assert bc_lower_estimate(Frozen(), 4) == bc_lower_estimate(
+        IndependentSequence(Fraction(1, 3)), 4
+    )
 
 
 def test_single_event_and_single_window():
@@ -297,17 +318,13 @@ def test_estimators_equal_per_k_oracle_exactly():
             assert sum(count for _, count in runs) == n - m + 1
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal
             assert expand_runs(runs) == oracle_rows(kind, source, m, n)
-            lower = bc_lower_estimate(model, n, keep_terms=True)
-            value, condition, terms = naive_bc_lower(oracle_rows(kind, source, 1, n), n)
+            lower = bc_lower_estimate(model, n)
+            value, condition = naive_bc_lower(oracle_rows(kind, source, 1, n), n)
             assert (lower.value, lower.condition_value) == (value, condition)
-            assert lower.per_k_terms == terms
-            upper = bc_upper_estimate(model, m, n, keep_terms=True)
-            value, window, condition, terms = naive_bc_upper(
-                oracle_rows(kind, source, m, n)
-            )
+            upper = bc_upper_estimate(model, m, n)
+            value, window, condition = naive_bc_upper(oracle_rows(kind, source, m, n))
             assert (upper.value, upper.window_bound) == (value, window)
             assert upper.condition_value == condition
-            assert upper.per_k_terms == terms
             if model.alpha_moments(n)[0]:
                 ratio = kochen_stone_ratio(model, n)
                 assert ratio == oracle_kochen_stone(kind, source, n)
@@ -330,13 +347,13 @@ def test_float_estimators_agree_with_per_k_oracle():
         for m, n in ((1, 3000), (2996, 3000), (1500, 2200)):
             rows = naive_independent_rows([source(k) for k in range(m, n + 1)])
             upper = bc_upper_estimate(model, m, n)
-            value, window, condition, _ = naive_bc_upper(rows)
+            value, window, condition = naive_bc_upper(rows)
             assert_close(upper.value, value)
             assert_close(upper.window_bound, window)
             assert_close(upper.condition_value, condition)
         rows = naive_independent_rows([source(k) for k in range(1, 3001)])
         lower = bc_lower_estimate(model, 3000)
-        value, condition, _ = naive_bc_lower(rows, 3000)
+        value, condition = naive_bc_lower(rows, 3000)
         assert_close(lower.value, value)
         assert_close(lower.condition_value, condition)
 

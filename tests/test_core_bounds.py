@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_moments
+from conftest import brute_force_moments, exhaustive_index_search, power_feature_matrix
 from unionbounds import (
     CertificateError,
     DeltaDecomposition,
@@ -21,14 +21,12 @@ from unionbounds import (
     MomentConsistencyError,
     MomentVector,
     delta_decomposition,
-    exhaustive_index_search,
     general_bound,
     holder_lower_bound,
     inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
-    power_feature_matrix,
     select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,

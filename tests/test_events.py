@@ -21,7 +21,6 @@ from unionbounds import (
     build_system,
     compare_bounds,
     exact_union_probability,
-    joint_occupancy,
     occupancy_profile,
     per_event_moments,
     power_moments,
@@ -74,14 +73,14 @@ def test_build_system_rejects_non_finite_weights():
 
 def test_build_system_allows_empty_events():
     system = build_system(["1"], [[], [0]])
-    assert system.event_probability(0) == 0
-    assert system.event_probability(1) == 1
+    assert system.intersection_probability([0]) == 0
+    assert system.intersection_probability([1]) == 1
     assert exact_union_probability(system) == 1
 
 
 def test_s2_probabilities(s2):
     assert exact_union_probability(s2) == Fraction(3, 4)
-    assert s2.event_probability(0) == Fraction(1, 2)
+    assert s2.intersection_probability([0]) == Fraction(1, 2)
     assert s2.intersection_probability([0, 1]) == Fraction(1, 4)
     assert occupancy_profile(s2).p == (
         Fraction(1, 4),
@@ -111,10 +110,32 @@ def test_s3_probabilities(s3):
 
 
 def test_power_moments_validation(s2):
-    with pytest.raises(ValueError):
-        power_moments(s2, 0)
-    with pytest.raises(ValueError):
-        power_moments(s2, Fraction(3, 2))
+    for bad in (0, -1, Fraction(-1, 2), math.nan, math.inf, True, False, "2"):
+        with pytest.raises(ValueError, match="positive finite"):
+            power_moments(s2, bad)
+
+
+def test_power_moments_non_integral_is_the_float_level_sum():
+    for system in sample_systems(20, seed=83) + _wide_systems():
+        denominator, levels, _ = system.joint_table
+        for k in (0.5, 1.5, Fraction(5, 4), 2.3):
+            naive = 0.0
+            for i, v in enumerate(levels):
+                if i and v:
+                    naive += float(i) ** float(k) * (v / denominator)
+            value = power_moments(system, k)
+            assert isinstance(value, float)
+            assert value == naive  # bit for bit, same order
+        for k in (2, 2.0, Fraction(2)):
+            assert power_moments(system, k) == naive_power_moment(system, 2)
+            assert isinstance(power_moments(system, k), Fraction)
+
+
+def test_power_moments_of_a_null_union_stay_exact():
+    system = build_system(["1/2", "1/2"], [[], []])
+    for k in (1, 1.5, 2):
+        value = power_moments(system, k)
+        assert value == 0 and type(value) is Fraction
 
 
 def test_s3_per_event_moments(s3):
@@ -175,9 +196,14 @@ def _wide_systems():
 
 def test_table_statistics_match_naive_oracles_on_wide_systems():
     for system in _wide_systems():
-        assert joint_occupancy(system).p == tuple(
-            tuple(row) for row in naive_joint_occupancy(system)
-        )
+        denominator, _, rows = system.joint_table
+        naive = naive_joint_occupancy(system)
+        for k, row in enumerate(rows):
+            assert len({i for i, _ in row}) == len(row)  # one entry per level
+            dense = [0] * system.n_events
+            for i, v in row:
+                dense[i - 1] = v
+            assert dense == [level[k] * denominator for level in naive]
         assert occupancy_profile(system).p == tuple(naive_occupancy_profile(system))
         for a, rho in ((1, 1), (2, 1)):
             moments = per_event_moments(system, a, rho, ell=3)
@@ -251,16 +277,15 @@ def test_oracle_agreement_on_random_systems():
 
 
 def test_joint_occupancy_marginals(s3):
-    joint = joint_occupancy(s3)
-    profile = occupancy_profile(s3).p
-    for k in range(s3.n_events):
-        assert sum(
-            (joint.p[i][k] for i in range(s3.n_events)), Fraction(0)
-        ) == s3.event_probability(k)
+    denominator, levels, rows = s3.joint_table
+    for k, row in enumerate(rows):
+        assert Fraction(sum(v for _, v in row), denominator) == (
+            s3.intersection_probability([k])
+        )
     for i in range(1, s3.n_events + 1):
-        assert sum(
-            (joint.p[i - 1][k] for k in range(s3.n_events)), Fraction(0)
-        ) == i * profile[i]
+        assert sum(v for row in rows for level, v in row if level == i) == (
+            i * levels[i]
+        )
 
 
 def test_prefix(s3):

@@ -1,6 +1,7 @@
 """Tests for the union-bound layer: worked constants, identities between the
 classic comparators and the moment bounds, and the report harness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,9 @@ from conftest import (
     naive_kat,
     naive_per_event_lower_three,
     naive_per_event_upper_three,
+    naive_power_moment,
+    profile_holder_moment,
+    profile_moment_vector,
     sample_systems,
 )
 from unionbounds import (
@@ -23,6 +27,7 @@ from unionbounds import (
     build_system,
     compare_bounds,
     exact_union_probability,
+    holder_lower_bound,
     holder_union_bound,
     lower_bound_two_moments,
     occupancy_moment_vector,
@@ -91,6 +96,33 @@ def test_holder_union_bound_values(s2):
     assert holder_union_bound(s2, 3) == pytest.approx(0.6324555320336759)
     with pytest.raises(ValueError):
         holder_union_bound(s2, 1)
+
+
+def test_holder_rejects_non_finite_p(s2):
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            holder_union_bound(s2, bad)
+        with pytest.raises(ValueError, match="finite"):
+            holder_lower_bound(Fraction(1), Fraction(3, 2), bad)
+
+
+def test_occupancy_moments_equal_the_profile_loop_bit_for_bit():
+    # the level sums of power_moments keep the order and arithmetic of a
+    # running total over the occupancy profile, float exponents included
+    pairs = (
+        (1, 1), (2, 1), (3, 2), (Fraction(3, 2), Fraction(5, 4)), (1.5, 1.25), (0.7, 2.3)
+    )
+    for system in sample_systems(60, seed=127):
+        for a, rho in pairs:
+            got = occupancy_moment_vector(system, a, rho, 3).sbar
+            want = profile_moment_vector(system, a, rho, 3)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
+        for p in (2.5, 1.7, Fraction(7, 3)):
+            want = holder_lower_bound(
+                naive_power_moment(system, 1), profile_holder_moment(system, p), p
+            )
+            assert holder_union_bound(system, p) == want
 
 
 def test_holder_never_beats_chung_erdos():
@@ -214,3 +246,13 @@ def test_per_event_upper_three_equals_closed_form(s3):
         assert lower == naive_per_event_lower_three(system)
         upper = union_bound(system, "per_event_upper_three")
         assert upper == naive_per_event_upper_three(system)
+
+
+def test_public_surface_resolves():
+    import unionbounds
+
+    missing = [name for name in unionbounds.__all__ if not hasattr(unionbounds, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from unionbounds import *", namespace)
+    assert set(unionbounds.__all__) <= set(namespace)
