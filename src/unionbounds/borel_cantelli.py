@@ -73,9 +73,9 @@ class BCEstimate:
 class ExplicitSequence:
     """The events of a finite system, taken in their listed order.
 
-    The system of a window m..n is built once per model and kept, so the
-    lower and upper estimates and the Kochen-Stone ratio of one horizon
-    share one statistics pass over its atoms.
+    The window systems of the latest horizon n are kept until n changes, so
+    the lower and upper estimates and the Kochen-Stone ratio of one horizon
+    share one statistics pass over its atoms, and a grid holds one row's.
     """
 
     def __init__(self, system: EventSystem):
@@ -83,17 +83,20 @@ class ExplicitSequence:
             raise ValueError("the system has no events")
         self.system = system
         self.horizon: int | None = system.n_events
-        self._windows: dict[tuple[int, int], EventSystem] = {}
+        self._row = 0  # the horizon n whose window systems are kept
+        self._windows: dict[int, EventSystem] = {}  # m -> the system of m..n
 
     def _window_system(self, m: int, n: int) -> EventSystem:
-        """The subsystem of events m..n, cached by (m, n)."""
-        system = self._windows.get((m, n))
+        """The subsystem of events m..n."""
+        if self._row != n:
+            self._row, self._windows = n, {}
+        system = self._windows.get(m)
         if system is None:
             if m == 1:
                 system = self.system.prefix(n)
             else:
                 system = EventSystem(self.system.weights, self.system.events[m - 1 : n])
-            self._windows[m, n] = system
+            self._windows[m] = system
         return system
 
     def prefix_system(self, n: int) -> EventSystem:

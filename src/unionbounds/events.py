@@ -73,6 +73,11 @@ class EventSystem:
             rows.append(tuple(row.items()))
         return denominator, tuple(levels), tuple(rows)
 
+    @cached_property
+    def row_values(self) -> dict:
+        """Report row values of this object, filled by unions; per object."""
+        return {}
+
     def intersection_probability(self, positions: Iterable[int]) -> Fraction:
         """P of the intersection of the listed events (Omega if empty)."""
         atoms = set(range(self.n_atoms))
@@ -94,20 +99,33 @@ def build_system(
 
     Weights parse through Fraction, so "1/10", "0.25", ints, floats and
     Fractions all work; they must be finite, non-negative and sum to one
-    exactly. Event atom lists are deduplicated, sorted and range-checked;
-    an atom index must be an integer value (2 or 2.0), never a bool.
+    exactly, and a bool is no weight. Each distinct literal parses once.
+    Event atom lists are deduplicated, sorted and range-checked; an atom
+    index must be an integer value (2 or 2.0), never a bool.
     """
     parsed = []
+    literals: dict[tuple[type, object], list] = {}  # -> [weight, uses]; True is not 1
     interned: dict[tuple[int, int], Fraction] = {}  # one object per equal weight
     for pos, raw in enumerate(weights):
+        literal = (type(raw), raw)
         try:
-            value = Fraction(raw)  # type: ignore[arg-type]
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            raise ValueError(f"weight {pos}: cannot parse {raw!r}") from exc
-        if value < 0:
-            raise ValueError(f"weight {pos} is negative: {value}")
-        parsed.append(interned.setdefault(value.as_integer_ratio(), value))
-    total = sum(parsed, Fraction(0))
+            entry = literals.get(literal)
+        except TypeError:  # an unhashable literal, which fails to parse below
+            entry = None
+        if entry is None:
+            if isinstance(raw, bool):  # Fraction would read True as 1
+                raise ValueError(f"weight {pos}: cannot parse {raw!r}")
+            try:
+                value = Fraction(raw)  # type: ignore[arg-type]
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                raise ValueError(f"weight {pos}: cannot parse {raw!r}") from exc
+            if value < 0:
+                raise ValueError(f"weight {pos} is negative: {value}")
+            entry = [interned.setdefault(value.as_integer_ratio(), value), 0]
+            literals[literal] = entry
+        entry[1] += 1
+        parsed.append(entry[0])
+    total = sum((value * uses for value, uses in literals.values()), Fraction(0))
     if total != 1:
         raise ValueError(f"weights sum {total} != 1")
     n_atoms = len(parsed)

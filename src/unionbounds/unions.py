@@ -107,11 +107,14 @@ def _moment_vectors(
     rho: Number,
     ell: int,
     cache: dict,
-) -> list[MomentVector]:
-    """The occupancy vector, or one vector per event of positive probability.
+) -> tuple[list, dict]:
+    """(keys in order, key -> MomentVector) for the statistic's vectors.
 
-    The ell = 3 moments are computed once per (statistic, a, rho) and kept in
-    ``cache``; ell = 2 takes their prefix.
+    The occupancy statistic has one vector, under the key None. The
+    per-event statistic has one key per event of positive probability, its
+    integer joint row, so events with equal rows share one vector. The ell = 3
+    moments are computed once per (statistic, a, rho) and kept in ``cache``;
+    ell = 2 takes their prefix.
     """
     key = (statistic, a, rho, ell)
     if key not in cache:
@@ -119,12 +122,17 @@ def _moment_vectors(
         moments = cache.get((statistic, a, rho))
         if moments is None:
             if statistic == "occupancy":
-                moments = [occupancy_moment_vector(system, a, rho, 3).sbar]
-            else:
+                pairs = [(None, occupancy_moment_vector(system, a, rho, 3).sbar)]
+            else:  # pair rows with columns before dropping zero-mass events
                 sbar = per_event_moments(system, a, rho, ell=3).sbar
-                moments = [m for m in zip(*sbar) if m[0] != 0]
+                rows = system.joint_table[2]
+                pairs = [(row, m) for row, m in zip(rows, zip(*sbar)) if m[0] != 0]
+            moments = [row for row, _ in pairs], dict(pairs)
             cache[(statistic, a, rho)] = moments
-        cache[key] = [MomentVector(m[:ell], params) for m in moments]
+        order, distinct = moments
+        cache[key] = order, {
+            row: MomentVector(m[:ell], params) for row, m in distinct.items()
+        }
     return cache[key]
 
 
@@ -132,7 +140,11 @@ def _evaluate(
     system: EventSystem, key: RowKey, tolerance: float, cache: dict
 ) -> Number:
     """The row's scalar bound, looked up at call time, summed over the
-    statistic's moment vectors."""
+    statistic's moment vectors: once per distinct vector, and once per
+    system object for each row key and tolerance."""
+    memo = system.row_values
+    if (key, tolerance) in memo:
+        return memo[key, tolerance]
     kind, statistic, ell, variant, a, rho = key
     if ell == 3:
         three = (
@@ -145,12 +157,16 @@ def _evaluate(
         bound = lower_bound_two_moments_simple
     else:
         bound = lower_bound_two_moments
-    vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
+    order, vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
+    values = {row: bound(m, tolerance=tolerance) for row, m in vectors.items()}
+    total: Number
     if statistic == "occupancy":
-        return bound(vectors[0], tolerance=tolerance)
-    total: Number = Fraction(0)  # the per-event bounds add up, in event order
-    for moments in vectors:
-        total = total + bound(moments, tolerance=tolerance)
+        total = values[None]
+    else:
+        total = Fraction(0)  # the per-event bounds add up, in event order
+        for row in order:
+            total = total + values[row]
+    memo[key, tolerance] = total
     return total
 
 
@@ -239,7 +255,8 @@ def compare_bounds(
     error text; any other exception propagates. ``include`` filters by name
     (see BOUND_NAMES); rows with fixed exponents in BOUNDS evaluate there
     regardless of the requested ones. Rows that compute the same thing are
-    evaluated once.
+    evaluated once per system object and tolerance, so the fixed-exponent
+    rows serve every later report on the same object.
     """
     if system.n_events == 0:
         raise ValueError("the system has no events")
@@ -250,7 +267,6 @@ def compare_bounds(
     exact = exact_union_probability(system)
     tol = inequality_tolerance(tolerance)
     cache: dict = {}
-    values: dict[RowKey, Number] = {}
     entries = []
     for name in BOUND_NAMES:
         if name not in wanted:
@@ -258,8 +274,7 @@ def compare_bounds(
         key = _row_key(name, a, rho)
         kind = key[0]
         try:
-            if key not in values:
-                values[key] = _evaluate(system, key, tol, cache)
+            value = _evaluate(system, key, tol, cache)
         except (ValueError, ArithmeticError) as exc:  # the library's own errors
             entries.append(
                 BoundEntry(
@@ -273,7 +288,6 @@ def compare_bounds(
                 )
             )
             continue
-        value = values[key]
         entries.append(
             BoundEntry(
                 name,

@@ -4,9 +4,11 @@ The independent model's closed-form window moments are checked against full
 2**n outcome enumeration; the explicit model is checked against the union
 bounds it must reproduce."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -417,9 +419,36 @@ def test_explicit_row_makes_one_table_pass(monkeypatch):
 
     monkeypatch.setattr(table, "func", counted)
     model = ExplicitSequence(random_system(157, 6, 30, "dense"))
-    horizons = range(1, model.horizon + 1)
-    for n in list(horizons) + list(horizons):
+    horizons = list(range(1, model.horizon + 1))
+    for n in horizons:
         bc_lower_estimate(model, n)
         bc_upper_estimate(model, 1, n)
         kochen_stone_ratio(model, n)
-    assert passes == list(horizons)
+    assert passes == horizons
+    for n in horizons:  # a row's systems are dropped with it, so a revisit rebuilds
+        bc_lower_estimate(model, n)
+        bc_upper_estimate(model, 1, n)
+        kochen_stone_ratio(model, n)
+    assert passes == horizons + horizons
+
+
+def test_explicit_grid_holds_only_the_current_row(monkeypatch):
+    table = EventSystem.__dict__["joint_table"]
+    built = []
+    build = table.func
+
+    def tracked(system):
+        built.append(weakref.ref(system))
+        return build(system)
+
+    monkeypatch.setattr(table, "func", tracked)
+    model = ExplicitSequence(random_system(158, 40, 200, "dense"))
+    for n in range(1, model.horizon + 1):
+        bc_lower_estimate(model, n)
+        bc_upper_estimate(model, max(1, n - 3), n)
+        kochen_stone_ratio(model, n)
+    assert len(built) == 40 + 36  # one per window: (1, n), and (n - 3, n) for n > 4
+    gc.collect()
+    alive = [ref() for ref in built if ref() is not None]
+    assert len(alive) == 2
+    assert {system.n_events for system in alive} == {40, 4}

@@ -151,6 +151,14 @@ def test_load_system_infinite_weight(tmp_path, capsys):
     assert "weight 1: cannot parse" in err
 
 
+def test_load_system_bool_weights(tmp_path, capsys):
+    path = write_system(tmp_path, [True, False], [[0]])
+    assert main(["bounds", "--input", path]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: weight 0: cannot parse True\n"
+
+
 def test_bounds_table_s2(s2_path, capsys):
     assert main(["bounds", "--input", s2_path]) == EXIT_OK
     out = capsys.readouterr().out

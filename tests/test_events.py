@@ -65,6 +65,28 @@ def test_build_system_rejects_bool_and_fractional_atoms():
     assert all(type(atom) is int for event in system.events for atom in event)
 
 
+def test_build_system_rejects_bool_weights():
+    for weights, pos, raw in (
+        ([True, False], 0, True),
+        ([0, False, 1], 1, False),  # a bool never shares the parse of 0 or 1
+        ([1, True], 1, True),
+    ):
+        with pytest.raises(ValueError, match=f"^weight {pos}: cannot parse {raw}$"):
+            build_system(weights, [[0]])
+
+
+def test_build_system_names_the_first_bad_weight_of_repeated_literals():
+    with pytest.raises(ValueError, match="^weight 1: cannot parse 'x'$"):
+        build_system(["1/2", "x", "x"], [[0]])
+    with pytest.raises(ValueError, match="^weight 1 is negative: -1/4$"):
+        build_system(["1/2", "-1/4", "1/2", "-1/4", "1/2"], [[0]])
+    with pytest.raises(ValueError, match=r"^weights sum 3/2 != 1$"):
+        build_system(["1/2", "1/2", "1/2"], [[0]])
+    system = build_system(["1/8", 0.125, "1/8", "2/16", 0.125, "3/8"], [[0]])
+    assert system.weights == (Fraction(1, 8),) * 5 + (Fraction(3, 8),)
+    assert all(weight is system.weights[0] for weight in system.weights[:5])
+
+
 def test_build_system_rejects_non_finite_weights():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="weight 1: cannot parse"):

@@ -4,6 +4,7 @@ classic comparators and the moment bounds, and the report harness."""
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,7 @@ from conftest import (
 )
 from unionbounds import (
     BOUND_NAMES,
+    EventSystem,
     ExponentParams,
     MomentConsistencyError,
     MomentVector,
@@ -31,8 +33,10 @@ from unionbounds import (
     holder_union_bound,
     lower_bound_two_moments,
     occupancy_moment_vector,
+    per_event_moments,
     random_system,
     union_bound,
+    upper_bound_three_moments,
 )
 
 
@@ -246,6 +250,103 @@ def test_per_event_upper_three_equals_closed_form(s3):
         assert lower == naive_per_event_lower_three(system)
         upper = union_bound(system, "per_event_upper_three")
         assert upper == naive_per_event_upper_three(system)
+
+
+def _logged(monkeypatch, name: str) -> list:
+    """Route the unions global ``name`` through a wrapper; the returned list
+    gets the (a, rho) of each call's moment vector."""
+    log: list = []
+    bound = getattr(unions_module, name)
+
+    def logged(moments, **kwargs):
+        log.append((moments.params.a, moments.params.rho))
+        return bound(moments, **kwargs)
+
+    monkeypatch.setattr(unions_module, name, logged)
+    return log
+
+
+def _positive_rows(system: EventSystem) -> list:
+    masses = per_event_moments(system).sbar[0]
+    return [row for row, mass in zip(system.joint_table[2], masses) if mass]
+
+
+def test_fixed_exponent_rows_run_once_per_system(monkeypatch):
+    simple = _logged(monkeypatch, "lower_bound_two_moments_simple")
+    refined = _logged(monkeypatch, "lower_bound_two_moments")
+    system = random_system(21, 6, 40, "dense")
+    rows = _positive_rows(system)
+    assert len(set(rows)) == len(rows) == 6
+    for a, rho in ((1, 1), (2, 1), (1.5, 1.25)):
+        assert compare_bounds(system, a, rho).all_pass
+    assert union_bound(system, "kat") == naive_kat(system)
+    # chung_erdos once, de_caen once per event; only those rows run "simple"
+    assert simple == [(1, 1)] * (1 + 6)
+    # kat once per event, plus occupancy_lower_two in the (1, 1) report
+    assert refined.count((1, 1)) == 6 + 1
+
+
+def test_row_values_are_kept_per_object_and_tolerance(monkeypatch):
+    simple = _logged(monkeypatch, "lower_bound_two_moments_simple")
+    system = random_system(22, 4, 30, "sparse")
+    report = compare_bounds(system)
+    once = len(simple)
+    assert once > 0
+    assert compare_bounds(system) == report
+    assert union_bound(system, "de_caen") == report.entry("de_caen").value
+    assert len(simple) == once
+    copy = EventSystem(system.weights, system.events)  # equal, but a new object
+    assert compare_bounds(copy) == report
+    assert len(simple) == 2 * once
+    compare_bounds(system, tolerance=1e-6)
+    assert len(simple) == 3 * once
+    compare_bounds(system, tolerance=1e-6)
+    assert len(simple) == 3 * once
+
+
+def test_equal_joint_rows_share_one_bound_call(monkeypatch):
+    # atom 0 weighs nothing, so event 0 has a non-empty row and zero mass;
+    # events 1 and 2 are equal, events 3 and 4 differ but have equal rows
+    system = build_system(
+        ["0", "1/4", "1/4", "1/4", "1/8", "1/8"],
+        [[0], [1, 4], [1, 4], [2], [3], [0, 5]],
+    )
+    rows = system.joint_table[2]
+    assert rows[0] and rows[1] == rows[2] and rows[3] == rows[4]
+    assert len(set(_positive_rows(system))) == 3
+    refined = _logged(monkeypatch, "lower_bound_two_moments")
+    simple = _logged(monkeypatch, "lower_bound_two_moments_simple")
+    three = _logged(monkeypatch, "lower_bound_three_moments")
+    assert union_bound(system, "kat") == naive_kat(system)
+    assert union_bound(system, "de_caen") == naive_de_caen(system)
+    assert union_bound(system, "per_event_lower_three") == naive_per_event_lower_three(
+        system
+    )
+    assert union_bound(system, "per_event_upper_three") == naive_per_event_upper_three(
+        system
+    )
+    assert refined == simple == three == [(1, 1)] * 3
+
+
+def test_float_section_totals_are_event_order_sums():
+    system = random_system(24, 60, 40, "sparse")
+    rows = _positive_rows(system)
+    assert len(set(rows)) < len(rows)  # shared rows, where a regrouped sum rounds apart
+    a, rho = 1.5, 1.25
+    columns = list(zip(*per_event_moments(system, a, rho, ell=3).sbar))
+    upper_three = partial(upper_bound_three_moments, variant="refined")
+    for name, bound, ell in (
+        ("per_event_lower_two", lower_bound_two_moments, 2),
+        ("per_event_upper_three", upper_three, 3),
+    ):
+        params = ExponentParams(a, rho, ell, system.n_events)
+        total = Fraction(0)
+        for moments in columns:
+            if moments[0] != 0:
+                total = total + bound(MomentVector(moments[:ell], params))
+        value = union_bound(system, name, a, rho)
+        assert type(value) is float
+        assert value == total
 
 
 def test_public_surface_resolves():
