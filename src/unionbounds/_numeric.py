@@ -8,6 +8,7 @@ the mathematics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence, Union
@@ -75,20 +76,24 @@ def floor_root(value: Number, degree: int) -> int:
     """
     if degree < 1:
         raise ValueError("degree must be a positive integer")
-    value = Fraction(value)
     if value < 0:
         raise ValueError("floor_root requires a non-negative value")
     # floor(x**(1/d)) == floor(floor(x)**(1/d)), so integers suffice
-    whole = value.numerator // value.denominator
-    if degree == 1 or whole == 0:
-        return whole
-    guess = int(float(whole) ** (1.0 / degree))
-    b = max(guess - 1, 0)
-    while (b + 1) ** degree <= whole:
-        b += 1
-    while b > 0 and b**degree > whole:
-        b -= 1
-    return b
+    if type(value) is not int:
+        value = Fraction(value)
+        value = value.numerator // value.denominator
+    if degree == 1 or value < 2:
+        return value
+    if degree == 2:
+        return math.isqrt(value)
+    # Newton's iteration from a power of two above the root decreases
+    # monotonically and stops at the floor; no float, so no overflow
+    b = 1 << -(-value.bit_length() // degree)
+    while True:
+        nxt = ((degree - 1) * b + value // b ** (degree - 1)) // degree
+        if nxt >= b:
+            return b
+        b = nxt
 
 
 def _int_root(n: int, degree: int) -> int | None:

@@ -41,6 +41,8 @@ class SequenceModel(Protocol):
 
 
 def _as_probability(value: ProbabilityLike) -> Number:
+    if isinstance(value, bool):  # Fraction would read True as 1
+        raise ValueError(f"probability must be a number, not {value!r}")
     p: Number = Fraction(value) if isinstance(value, (int, str)) else value
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p} outside [0, 1]")

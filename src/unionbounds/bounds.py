@@ -84,6 +84,9 @@ class ExponentParams:
     n_support: int
 
     def __post_init__(self) -> None:
+        for name in ("a", "rho", "ell", "n_support"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not _finite(self.a):
             raise ValueError("a must be finite")
         if not self.a > 0:
@@ -219,18 +222,20 @@ def _zero_like(*values: Number) -> Number:
     return Fraction(0) if all_exact(*values) else 0.0
 
 
+def _inconsistent(label: str, detail: str) -> MomentConsistencyError:
+    return MomentConsistencyError(f"inconsistent moments: {label} ({detail})")
+
+
 def _check_nonneg(
     value: Number, tol: float, label: str, scale: Number = 1
 ) -> Number:
     if is_exact(value):
         if value < 0:
-            raise MomentConsistencyError(
-                f"inconsistent moments: {label} (got {value})"
-            )
+            raise _inconsistent(label, f"got {value}")
         return value
     v = float(value)
     if v < -tol * max(1.0, abs(float(scale))):
-        raise MomentConsistencyError(f"inconsistent moments: {label} (got {v})")
+        raise _inconsistent(label, f"got {v}")
     return max(v, 0.0)
 
 
@@ -238,15 +243,11 @@ def _check_lower(value: Number, limit: Number, tol: float, label: str) -> Number
     """Require value >= limit; clamp float noise up to the limit."""
     if all_exact(value, limit):
         if value < limit:
-            raise MomentConsistencyError(
-                f"inconsistent moments: {label} ({value} < {limit})"
-            )
+            raise _inconsistent(label, f"{value} < {limit}")
         return value
     v, lim = float(value), float(limit)
     if v < lim - tol * max(1.0, abs(v), abs(lim)):
-        raise MomentConsistencyError(
-            f"inconsistent moments: {label} ({v} < {lim})"
-        )
+        raise _inconsistent(label, f"{v} < {lim}")
     return max(v, lim)
 
 
@@ -254,15 +255,11 @@ def _check_upper(value: Number, limit: Number, tol: float, label: str) -> Number
     """Require value <= limit; clamp float noise down to the limit."""
     if all_exact(value, limit):
         if value > limit:
-            raise MomentConsistencyError(
-                f"inconsistent moments: {label} ({value} > {limit})"
-            )
+            raise _inconsistent(label, f"{value} > {limit}")
         return value
     v, lim = float(value), float(limit)
     if v > lim + tol * max(1.0, abs(v), abs(lim)):
-        raise MomentConsistencyError(
-            f"inconsistent moments: {label} ({v} > {lim})"
-        )
+        raise _inconsistent(label, f"{v} > {lim}")
     return min(v, lim)
 
 
@@ -428,6 +425,115 @@ def _require_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+def _integer_moments(sbar: Sequence[Number]) -> tuple[int, int, int, int]:
+    """Three rational moments as integers over their least common
+    denominator L: (S1, S2, S3, L)."""
+    s1, s2, s3 = sbar
+    q1, q2, q3 = s1.denominator, s2.denominator, s3.denominator
+    scale = math.lcm(q1, q2, q3)
+    return (
+        s1.numerator * (scale // q1),
+        s2.numerator * (scale // q2),
+        s3.numerator * (scale // q3),
+        scale,
+    )
+
+
+def _window_mass(
+    window: tuple[int, ...], s1: int, s2: int, s3: int, scale: int, a: int, rho: int
+) -> Fraction:
+    """sum(r) for the vector r supported on ``window`` whose first
+    len(window) moments are s1/scale, s2/scale, s3/scale (integers s_k).
+
+    With w_i = i**a, u_i = w_i * r_i and x_i = i**rho the moments are
+    sum_i u_i * x_i**k: a 2- or 3-point Vandermonde system in x, which
+    Lagrange's formula solves over the common denominator V, the product of
+    the differences of the x. Then sum(r) = sum_i u_i / w_i.
+    """
+    if len(window) == 2:  # V = y - x
+        i, j = window
+        x, y, wi, wj = i**rho, j**rho, i**a, j**a
+        num = (y * s1 - s2) * wj + (s2 - x * s1) * wi
+        return Fraction(num, (y - x) * wi * wj * scale)
+    i, j, k = window  # V = (x - y)(x - z)(y - z)
+    x, y, z = i**rho, j**rho, k**rho
+    wi, wj, wk = i**a, j**a, k**a
+    ui = s3 - (y + z) * s2 + y * z * s1  # u_i = ui * (y - z) / V
+    uj = s3 - (x + z) * s2 + x * z * s1  # u_j = -uj * (x - z) / V
+    uk = s3 - (x + y) * s2 + x * y * s1  # u_k = uk * (x - y) / V
+    num = ui * (y - z) * wj * wk - uj * (x - z) * wi * wk + uk * (x - y) * wi * wj
+    return Fraction(num, (x - y) * (x - z) * (y - z) * wi * wj * wk * scale)
+
+
+def _scaled_inconsistent(
+    label: str, scale: int, value: int, relation: str = "", limit: int = 0
+) -> MomentConsistencyError:
+    """The closed form's error for a failed integer check, printing the
+    integers over ``scale`` as the rationals the closed form compares."""
+    if not relation:
+        return _inconsistent(label, f"got {Fraction(value, scale)}")
+    return _inconsistent(
+        label, f"{Fraction(value, scale)} {relation} {Fraction(limit, scale)}"
+    )
+
+
+def _lower_three_exact(
+    sbar: Sequence[Number], a: int, rho: int, n: int
+) -> Fraction:
+    """The refined three-moment lower bound on rational moments: the mass of
+    the vector on (b, b+1, n), or on (b, n) when d2 = b**rho * d1, where
+    b = floor((d2/d1)**(1/rho)), d1 = n**rho * s1 - s2 and
+    d2 = n**rho * s2 - s3. The checks are the closed form's, run on the
+    integers."""
+    s1, s2, s3, scale = _integer_moments(sbar)
+    top = n**rho
+    d1, d2 = top * s1 - s2, top * s2 - s3
+    if d1 < 0:
+        raise _scaled_inconsistent("n**rho * s1 - s2 must be non-negative", scale, d1)
+    if d2 < 0:
+        raise _scaled_inconsistent("n**rho * s2 - s3 must be non-negative", scale, d2)
+    if d1 == 0:
+        return Fraction(s1, scale * n**a)  # all mass sits at the top index
+    if d2 < d1:
+        label = "(n**rho*s2 - s3) >= (n**rho*s1 - s2)"
+        raise _scaled_inconsistent(label, scale, d2, "<", d1)
+    limit = (n - 1) ** rho * d1
+    if d2 > limit:
+        label = "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)"
+        raise _scaled_inconsistent(label, scale, d2, ">", limit)
+    b = floor_root(d2 // d1, rho)
+    window = (b, n) if d2 == b**rho * d1 else (b, b + 1, n)
+    return _window_mass(window, s1, s2, s3, scale, a, rho)
+
+
+def _upper_three_exact(
+    sbar: Sequence[Number], a: int, rho: int, n: int
+) -> Number:
+    """The refined three-moment upper bound on rational moments: the mass of
+    the vector on (1, b, b+1), or on (1, b) when d2 = b**rho * d1, where
+    b = floor((d2/d1)**(1/rho)), d1 = s2 - s1 and d2 = s3 - s2. The checks
+    are the closed form's, run on the integers."""
+    s1, s2, s3, scale = _integer_moments(sbar)
+    d1, d2 = s2 - s1, s3 - s2
+    if d1 < 0:
+        raise _scaled_inconsistent("s2 - s1 must be non-negative", scale, d1)
+    if d2 < 0:
+        raise _scaled_inconsistent("s3 - s2 must be non-negative", scale, d2)
+    if d1 == 0:
+        return sbar[0]
+    limit = 2**rho * d1
+    if d2 < limit:
+        label = "(s3 - s2) >= 2**rho * (s2 - s1)"
+        raise _scaled_inconsistent(label, scale, d2, "<", limit)
+    limit = n**rho * d1
+    if d2 > limit:
+        label = "(s3 - s2) <= n**rho * (s2 - s1)"
+        raise _scaled_inconsistent(label, scale, d2, ">", limit)
+    b = floor_root(d2 // d1, rho)  # b >= 2 after the checks
+    window = (1, b) if d2 == b**rho * d1 else (1, b, b + 1)
+    return _window_mass(window, s1, s2, s3, scale, a, rho)
+
+
 def lower_bound_three_moments(
     moments: MomentVector,
     variant: str = "refined",
@@ -439,14 +545,19 @@ def lower_bound_three_moments(
     Works through the residuals d1 = n**rho * s1 - s2 and
     d2 = n**rho * s2 - s3, whose own ratio locates a window next to the top
     index. The "refined" variant is sharp for vectors supported on
-    {m-1, m, n}. Simplified variants: "a_le_rho" and "a_ge_rho" drop the
-    window rounding on one side, "rho_ge_1_simple" drops the fractional
-    split entirely (requires rho >= 1).
+    {m-1, m, n}; on exact input it is that vector's total mass, solved in
+    integers (``_lower_three_exact``). Simplified variants: "a_le_rho" and
+    "a_ge_rho" drop the window rounding on one side, "rho_ge_1_simple" drops
+    the fractional split entirely (requires rho >= 1).
     """
     params = _require_ell(moments, 3)
     _require_variant(variant)
     tol = inequality_tolerance(tolerance)
     a, rho, n = params.a, params.rho, params.n_support
+    if variant == "refined" and moments.exact:
+        return _lower_three_exact(
+            moments.sbar, integral_value(a), integral_value(rho), n
+        )
     s1, s2, s3 = moments.sbar
     n_rho = rpow(n, rho)
     n_a = rpow(n, a)
@@ -549,15 +660,20 @@ def upper_bound_three_moments(
 
     Works through d1 = s2 - s1 and d2 = s3 - s2; their ratio locates a
     window away from index one, and the bound subtracts the certified excess
-    from s1. Sharp ("refined") for vectors supported on {1, m-1, m}. The
-    simplified variants mirror the lower-bound ones; the a >= rho forms read
-    ((delta-1)**a - 1) / ((delta-1)**rho - 1) at delta = 2 as its limit
-    a/rho.
+    from s1. Sharp ("refined") for vectors supported on {1, m-1, m}; on exact
+    input it is that vector's total mass, solved in integers
+    (``_upper_three_exact``). The simplified variants mirror the lower-bound
+    ones; the a >= rho forms read ((delta-1)**a - 1) / ((delta-1)**rho - 1)
+    at delta = 2 as its limit a/rho.
     """
     params = _require_ell(moments, 3)
     _require_variant(variant)
     tol = inequality_tolerance(tolerance)
     a, rho, n = params.a, params.rho, params.n_support
+    if variant == "refined" and moments.exact:
+        return _upper_three_exact(
+            moments.sbar, integral_value(a), integral_value(rho), n
+        )
     s1, s2, s3 = moments.sbar
     d1 = _check_nonneg(s2 - s1, tol, "s2 - s1 must be non-negative", s2)
     d2 = _check_nonneg(s3 - s2, tol, "s3 - s2 must be non-negative", s3)

@@ -100,6 +100,12 @@ def _row_key(name: str, a: Number, rho: Number) -> RowKey:
     return kind, statistic, ell, variant, a, rho
 
 
+def _check_exponents(a: Number, rho: Number) -> None:
+    """Reject bool exponents, which every row would otherwise read as 1 or 0."""
+    if isinstance(a, bool) or isinstance(rho, bool):
+        raise ValueError(f"a and rho must be numbers, not bools (got {a!r}, {rho!r})")
+
+
 def _moment_vectors(
     system: EventSystem,
     statistic: str,
@@ -186,6 +192,7 @@ def union_bound(
         raise ValueError(f"unknown bound name {name!r}; expected one of {BOUND_NAMES}")
     if system.n_events == 0:
         raise ValueError("the system has no events")
+    _check_exponents(a, rho)
     tol = inequality_tolerance(tolerance)
     return _evaluate(system, _row_key(name, a, rho), tol, {})
 
@@ -264,6 +271,7 @@ def compare_bounds(
     unknown = wanted.difference(BOUND_NAMES)
     if unknown:
         raise ValueError(f"unknown bound names: {sorted(unknown)}")
+    _check_exponents(a, rho)
     exact = exact_union_probability(system)
     tol = inequality_tolerance(tolerance)
     cache: dict = {}

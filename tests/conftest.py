@@ -15,6 +15,7 @@ from unionbounds import (
     CertificateError,
     EventSystem,
     InfeasibleIndicesError,
+    MomentConsistencyError,
     general_bound,
     random_system,
 )
@@ -257,6 +258,91 @@ def exhaustive_index_search(features, sbar, direction: str):
         ):
             best = outcome
     return best
+
+
+# The refined three-moment bounds as their closed forms, evaluated in
+# Fractions at integral exponents; the library solves for the window masses
+# in integers instead and must agree in value, type and error text.
+
+
+def _floor_root_by_search(value: Fraction, degree: int) -> int:
+    b = 0
+    while Fraction(b + 1) ** degree <= value:
+        b += 1
+    return b
+
+
+def _inconsistent(label: str, detail: str) -> MomentConsistencyError:
+    return MomentConsistencyError(f"inconsistent moments: {label} ({detail})")
+
+
+def _split(d1: Fraction, d2: Fraction, rho: int) -> tuple[int, Fraction]:
+    """b = floor((d2/d1)**(1/rho)) and the weight tbar that puts mass
+    tbar on b + 1 and 1 - tbar on b."""
+    ratio = Fraction(d2) / Fraction(d1)
+    b = _floor_root_by_search(ratio, rho)
+    return b, (ratio - b**rho) / ((b + 1) ** rho - b**rho)
+
+
+def closed_form_lower_three(moments) -> Fraction:
+    """t1 + t2 + s1/n**a with t_i = d1 * w_i * (n**a - m_i**a) /
+    (n**a * m_i**a * (n**rho - m_i**rho)) over the window m_i = b, b + 1,
+    w = (1 - tbar, tbar), d1 = n**rho s1 - s2 and d2 = n**rho s2 - s3."""
+    params = moments.params
+    a, rho, n = int(params.a), int(params.rho), params.n_support
+    s1, s2, s3 = moments.sbar
+    n_rho, n_a = n**rho, n**a
+    d1, d2 = n_rho * s1 - s2, n_rho * s2 - s3
+    if d1 < 0:
+        raise _inconsistent("n**rho * s1 - s2 must be non-negative", f"got {d1}")
+    if d2 < 0:
+        raise _inconsistent("n**rho * s2 - s3 must be non-negative", f"got {d2}")
+    if d1 == 0:
+        return s1 / n_a
+    if d2 < d1:
+        raise _inconsistent("(n**rho*s2 - s3) >= (n**rho*s1 - s2)", f"{d2} < {d1}")
+    limit = (n - 1) ** rho * d1
+    if d2 > limit:
+        raise _inconsistent(
+            "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)", f"{d2} > {limit}"
+        )
+    b, tbar = _split(d1, d2, rho)
+    tail = s1 / n_a
+    t1 = d1 * (1 - tbar) * (n_a - b**a) / (n_a * b**a * (n_rho - b**rho))
+    if tbar == 0:
+        return t1 + tail
+    c = b + 1
+    t2 = d1 * tbar * (n_a - c**a) / (n_a * c**a * (n_rho - c**rho))
+    return t1 + t2 + tail
+
+
+def closed_form_upper_three(moments) -> Fraction:
+    """s1 - t1 - t2 with t_i = d1 * w_i * (m_i**a - 1) / (m_i**a *
+    (m_i**rho - 1)) over the window m_i = b, b + 1, w = (1 - tbar, tbar),
+    d1 = s2 - s1 and d2 = s3 - s2."""
+    params = moments.params
+    a, rho, n = int(params.a), int(params.rho), params.n_support
+    s1, s2, s3 = moments.sbar
+    d1, d2 = s2 - s1, s3 - s2
+    if d1 < 0:
+        raise _inconsistent("s2 - s1 must be non-negative", f"got {d1}")
+    if d2 < 0:
+        raise _inconsistent("s3 - s2 must be non-negative", f"got {d2}")
+    if d1 == 0:
+        return s1
+    limit = 2**rho * d1
+    if d2 < limit:
+        raise _inconsistent("(s3 - s2) >= 2**rho * (s2 - s1)", f"{d2} < {limit}")
+    limit = n**rho * d1
+    if d2 > limit:
+        raise _inconsistent("(s3 - s2) <= n**rho * (s2 - s1)", f"{d2} > {limit}")
+    b, tbar = _split(d1, d2, rho)
+    t1 = d1 * (1 - tbar) * (b**a - 1) / (b**a * (b**rho - 1))
+    if tbar == 0:
+        return s1 - t1
+    c = b + 1
+    t2 = d1 * tbar * (c**a - 1) / (c**a * (c**rho - 1))
+    return s1 - t1 - t2
 
 
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:

@@ -250,6 +250,18 @@ def test_probability_validation():
         bc_lower_estimate(model, 3)  # callable yields p_1 = 2, rejected on use
 
 
+def test_bool_probabilities_are_rejected():
+    # Fraction(True) is 1: a bool would read as a certain or impossible event
+    for make in (
+        lambda: IndependentSequence(True),
+        lambda: IndependentSequence([True, Fraction(1, 2)]),
+        lambda: IdenticalSequence(False),
+        lambda: bc_lower_estimate(IndependentSequence(lambda k: k > 1), 2),
+    ):
+        with pytest.raises(ValueError, match="not (True|False)"):
+            make()
+
+
 # The run-length path against the per-k oracles in conftest.
 
 

@@ -7,12 +7,19 @@ vectors, and against each other (refined vs simplified variants).
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_moments, exhaustive_index_search, power_feature_matrix
+from conftest import (
+    brute_force_moments,
+    closed_form_lower_three,
+    closed_form_upper_three,
+    exhaustive_index_search,
+    power_feature_matrix,
+)
 from unionbounds import (
     CertificateError,
     DeltaDecomposition,
@@ -336,21 +343,184 @@ def test_three_moment_variant_constraints():
         lower_bound_three_moments(make_moments(S3_OCCUPANCY), "bogus")
 
 
+def _outcome(fn, moments):
+    """(type name, repr) of the value, or of the error and its text."""
+    try:
+        value = fn(moments)
+    except MomentConsistencyError as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, repr(value)
+
+
+def _assert_matches_closed_forms(moments):
+    assert _outcome(lower_bound_three_moments, moments) == _outcome(
+        closed_form_lower_three, moments
+    )
+    assert _outcome(upper_bound_three_moments, moments) == _outcome(
+        closed_form_upper_three, moments
+    )
+
+
 def test_three_moment_degenerate_masses():
-    params = ExponentParams(1, 1, 3, 4)
-    top_only = MomentVector.from_vector([0, 0, 0, Fraction(2, 7)], params)
-    assert lower_bound_three_moments(top_only) == Fraction(2, 7)
-    bottom_only = MomentVector.from_vector([Fraction(3, 5), 0, 0, 0], params)
-    assert upper_bound_three_moments(bottom_only) == Fraction(3, 5)
+    # d1 = 0 on each side: all mass at n (lower) or at 1 (upper)
+    for n in (1, 2, 3, 4):
+        for a, rho in ((1, 1), (2, 1), (1, 2), (3, 2)):
+            params = ExponentParams(a, rho, 3, n)
+            zeros = [Fraction(0)] * (n - 1)
+            top_only = MomentVector.from_vector(zeros + [Fraction(2, 7)], params)
+            assert lower_bound_three_moments(top_only) == Fraction(2, 7)
+            bottom_only = MomentVector.from_vector([Fraction(3, 5)] + zeros, params)
+            assert upper_bound_three_moments(bottom_only) == Fraction(3, 5)
+            _assert_matches_closed_forms(top_only)
+            _assert_matches_closed_forms(bottom_only)
 
 
 def test_three_moment_cone_errors():
-    with pytest.raises(MomentConsistencyError):
+    with pytest.raises(
+        MomentConsistencyError,
+        match=re.escape("n**rho * s2 - s3 must be non-negative (got -94)"),
+    ):
         # s3 > n**rho * s2
         lower_bound_three_moments(make_moments([1, 2, 100], n=3))
-    with pytest.raises(MomentConsistencyError):
+    with pytest.raises(
+        MomentConsistencyError,
+        match=re.escape("(s3 - s2) >= 2**rho * (s2 - s1) (1/2 < 2)"),
+    ):
         # (s3 - s2) < 2**rho (s2 - s1)
         upper_bound_three_moments(make_moments([1, 2, Fraction(5, 2)], n=3))
+
+
+def test_exact_three_moment_bounds_equal_the_closed_forms():
+    # window masses in integers == the closed forms in Fractions, in value,
+    # type and error text, on genuine and on arbitrary (mostly inconsistent)
+    # rational moments
+    rng = random.Random(83)
+    for trial in range(600):
+        n = rng.randint(1, 12)
+        a, rho = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        params = ExponentParams(a, rho, 3, n)
+        if trial % 3:
+            vector = [
+                random_vector(rng, 1)[0] if rng.random() < 0.5 else Fraction(0)
+                for _ in range(n)
+            ]
+            vector[rng.randrange(n)] += Fraction(1, rng.randint(1, 9))
+            moments = MomentVector.from_vector(vector, params)
+        else:
+            sbar = [Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in "123"]
+            moments = MomentVector(tuple(sbar), params)
+        _assert_matches_closed_forms(moments)
+
+
+def test_exact_three_moment_window_edges():
+    # d2 = b**rho * d1 at b = n - 1 below and b = n above, where the
+    # three-point window would leave the support
+    for n in (2, 3, 6):
+        for a, rho in ((1, 1), (2, 1), (1, 2), (3, 2)):
+            params = ExponentParams(a, rho, 3, n)
+            edge = [Fraction(0)] * n
+            edge[n - 2], edge[n - 1] = Fraction(1, 3), Fraction(2, 9)
+            moments = MomentVector.from_vector(edge, params)
+            assert lower_bound_three_moments(moments) == Fraction(5, 9)
+            _assert_matches_closed_forms(moments)
+            edge = [Fraction(0)] * n
+            edge[0], edge[n - 1] = Fraction(1, 4), Fraction(3, 8)
+            moments = MomentVector.from_vector(edge, params)
+            assert upper_bound_three_moments(moments) == Fraction(5, 8)
+            _assert_matches_closed_forms(moments)
+
+
+def test_exact_three_moment_bounds_read_integral_exponents_alike():
+    vector = [Fraction(1, 3), Fraction(0), Fraction(2, 7), Fraction(1, 9), Fraction(0)]
+    outcomes = set()
+    for a in (2, 2.0, Fraction(2)):
+        for rho in (2, 2.0, Fraction(2)):
+            moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, 5))
+            _assert_matches_closed_forms(moments)
+            outcomes.add(
+                (
+                    repr(lower_bound_three_moments(moments)),
+                    repr(upper_bound_three_moments(moments)),
+                )
+            )
+    assert len(outcomes) == 1
+
+
+def test_exact_three_moment_bounds_on_unlike_and_huge_denominators():
+    vector = [Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(5, 11)]
+    moments = MomentVector.from_vector(vector, ExponentParams(1, 1, 3, 4))
+    assert len({s.denominator for s in moments.sbar}) > 1
+    _assert_matches_closed_forms(moments)
+    rng = random.Random(89)
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        vector = [
+            Fraction(rng.getrandbits(1000), rng.getrandbits(1000) | 1)
+            if rng.random() < 0.6
+            else Fraction(0)
+            for _ in range(n)
+        ]
+        vector[-1] += Fraction(1, 3**630)
+        params = ExponentParams(rng.randint(1, 3), rng.randint(1, 3), 3, n)
+        moments = MomentVector.from_vector(vector, params)
+        assert max(s.denominator.bit_length() for s in moments.sbar) > 900
+        _assert_matches_closed_forms(moments)
+
+
+def test_exact_lower_three_on_int_moments_is_rational():
+    # the closed form divides an int s1 by n**a and so returned a float
+    moments = make_moments([2, 3, 5], n=3)
+    value = lower_bound_three_moments(moments)
+    assert isinstance(value, Fraction)
+    as_fractions = make_moments([Fraction(2), Fraction(3), Fraction(5)], n=3)
+    assert value == closed_form_lower_three(as_fractions)
+    assert lower_bound_three_moments(make_moments([0, 0, 0])) == Fraction(0)
+    assert isinstance(lower_bound_three_moments(make_moments([0, 0, 0])), Fraction)
+    # the upper bound at d1 = 0 is s1 itself, as before
+    flat = make_moments([2, 2, 2])
+    assert _outcome(upper_bound_three_moments, flat) == ("int", "2")
+
+
+@pytest.mark.parametrize(
+    "bound, sbar, n, message",
+    [
+        (
+            lower_bound_three_moments,
+            [Fraction(1, 2), 2, Fraction(5, 2)],
+            3,
+            "n**rho * s1 - s2 must be non-negative (got -1/2)",
+        ),
+        (
+            upper_bound_three_moments,
+            [Fraction(1, 3), Fraction(1, 2), Fraction(1, 4)],
+            3,
+            "s3 - s2 must be non-negative (got -1/4)",
+        ),
+        (
+            lower_bound_three_moments,
+            [Fraction(1, 2), Fraction(3, 4), Fraction(5, 3)],
+            3,
+            "(n**rho*s2 - s3) >= (n**rho*s1 - s2) (7/12 < 3/4)",
+        ),
+        (
+            upper_bound_three_moments,
+            [Fraction(1, 2), Fraction(3, 4), Fraction(9, 2)],
+            3,
+            "(s3 - s2) <= n**rho * (s2 - s1) (15/4 > 3/4)",
+        ),
+    ],
+)
+def test_exact_three_moment_error_texts(bound, sbar, n, message):
+    moments = make_moments(sbar, n=n)
+    with pytest.raises(MomentConsistencyError, match=re.escape(message)):
+        bound(moments)
+    oracle = (
+        closed_form_lower_three
+        if bound is lower_bound_three_moments
+        else closed_form_upper_three
+    )
+    with pytest.raises(MomentConsistencyError, match=re.escape(message)):
+        oracle(moments)
 
 
 def test_three_moment_bounds_sandwich_explicit_vectors():

@@ -61,6 +61,30 @@ def test_floor_root_large_values_where_floats_round():
     assert floor_root(Fraction(big - 1), 2) == 10**15 - 1
 
 
+def test_floor_root_beyond_the_float_range():
+    # ~1.3e400 does not fit a double; the root stays integer arithmetic
+    big = 10**400
+    assert floor_root(big + 7, 2) == 10**200
+    assert floor_root(big - 1, 2) == 10**200 - 1
+    root = floor_root(big + 7, 3)  # 10**133 * 10**(1/3)
+    assert root**3 <= big + 7 < (root + 1) ** 3
+    assert len(str(root)) == 134 and str(root).startswith("2154434690031883")
+    cube = (10**134 + 3) ** 3
+    assert floor_root(cube, 3) == 10**134 + 3
+    assert floor_root(cube - 1, 3) == 10**134 + 2
+    assert floor_root(Fraction(cube + 1, 7), 3) == floor_root(cube // 7, 3)
+    for degree in (2, 3, 5, 7):
+        root = floor_root(big, degree)
+        assert root**degree <= big < (root + 1) ** degree
+
+
+def test_nth_root_exact_beyond_the_float_range():
+    num, den = 3**400 + 2, 7**250
+    assert nth_root_exact(Fraction(num**3, den**3), 3) == Fraction(num, den)
+    assert nth_root_exact(Fraction(num**2, den**2), 2) == Fraction(num, den)
+    assert nth_root_exact(Fraction(num**3 + 1, den**3), 3) is None
+
+
 def test_floor_root_is_the_integer_part():
     import random
 

@@ -222,6 +222,23 @@ def test_compare_bounds_reports_arithmetic_errors():
     assert report.entry("kat").passed
 
 
+def test_exact_rows_with_huge_denominators_stay_exact():
+    # moment ratios whose numerators pass the float range: integral rho >= 2
+    # used to take float roots and report OverflowError entries
+    q = 3**700
+    weights = [
+        Fraction(q // 3, q + 2),
+        Fraction(q // 9 + 1, q + 4),
+        Fraction(q // 9, q + 10),
+    ]
+    weights.append(1 - sum(weights))
+    system = build_system(weights, [[0, 3], [0, 1, 3], [2, 3]])
+    for a, rho in ((1, 2), (2, 2), (1, 3)):
+        report = compare_bounds(system, a, rho)
+        assert [e.name for e in report.entries if e.error] == []
+        assert all(e.arithmetic == "rational" and e.passed for e in report.entries)
+
+
 def test_compare_bounds_lets_programming_errors_through(s2, monkeypatch):
     def boom(moments, *, tolerance=None):
         raise TypeError("synthetic bug")
@@ -236,6 +253,18 @@ def test_union_bound_rejects_unknown_names_and_empty_systems(s2):
         union_bound(s2, "bogus")
     with pytest.raises(ValueError):
         union_bound(build_system(["1"], []), "kat")
+
+
+def test_bool_exponents_are_rejected(s2):
+    with pytest.raises(ValueError, match="bool"):
+        compare_bounds(s2, True, 1)
+    with pytest.raises(ValueError, match="bool"):
+        compare_bounds(s2, 2, False)
+    with pytest.raises(ValueError, match="bool"):
+        union_bound(s2, "kat", True, 1)
+    for args in ((True, 1, 2, 3), (1, True, 2, 3), (1, 1, 2, True)):
+        with pytest.raises(ValueError, match="bool"):
+            ExponentParams(*args)
 
 
 def test_compare_bounds_requires_events():
