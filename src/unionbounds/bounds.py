@@ -114,22 +114,29 @@ class ExponentParams:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """The first ell power moments of a hidden non-negative vector."""
+    """The first ell power moments of a hidden non-negative vector.
+
+    Integer moments are stored as Fractions."""
 
     sbar: tuple[Number, ...]
     params: ExponentParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sbar", tuple(self.sbar))
-        if len(self.sbar) != self.params.ell:
+        values = tuple(self.sbar)
+        if len(values) != self.params.ell:
             raise ValueError(
-                f"expected {self.params.ell} moments, got {len(self.sbar)}"
+                f"expected {self.params.ell} moments, got {len(values)}"
             )
-        for value in self.sbar:
-            if not _finite(value):
+        sbar = []
+        for value in values:
+            if isinstance(value, int):  # so no exact bound divides int by int
+                value = Fraction(value)
+            elif not _finite(value):
                 raise ValueError("moments must be finite")
             if value < 0:
                 raise ValueError("moments must be non-negative")
+            sbar.append(value)
+        object.__setattr__(self, "sbar", tuple(sbar))
 
     @property
     def exact(self) -> bool:
@@ -354,9 +361,18 @@ def lower_bound_two_moments(
     delta = (s2/s1)**(1/rho); theta_refined splits the mass between them, so
     the bound is s1 * (theta_refined / (base+1)**a + (1-theta_refined) /
     base**a). Equality holds exactly when r is supported on {base, base+1}.
+    On exact input it is that vector's total mass, solved in integers
+    (``_lower_two_exact``).
     """
     params = _require_ell(moments, 2)
     tol = inequality_tolerance(tolerance)
+    if moments.exact:
+        return _lower_two_exact(
+            moments.sbar,
+            integral_value(params.a),
+            integral_value(params.rho),
+            params.n_support,
+        )
     prepared = _two_moment_window(moments, tol)
     if prepared is None:
         return _zero_like(*moments.sbar)
@@ -407,7 +423,8 @@ def upper_bound_two_moments(
     """Sharp upper bound from two power moments, attained on support {1, n}.
 
     The raw value is returned unclamped; it can exceed one when the moments
-    come from a probability setting. n_support = 1 degenerates to s1.
+    come from a probability setting. n_support = 1 degenerates to s1. On
+    exact input it is the mass of the vector on (1, n), solved in integers.
     """
     params = _require_ell(moments, 2)
     del tolerance  # no cone narrower than non-negativity is required here
@@ -415,6 +432,10 @@ def upper_bound_two_moments(
     n = params.n_support
     if n == 1:
         return s1
+    if moments.exact:
+        a, rho = integral_value(params.a), integral_value(params.rho)
+        s1, s2, scale = _integer_moments(moments.sbar)
+        return _window_mass((1, n), s1, s2, 0, scale, a, rho)
     na = rpow(n, params.a)
     nar = rpow(n, params.a + params.rho)
     return ((nar - 1) * s1 - (na - 1) * s2) / (nar - na)
@@ -425,18 +446,18 @@ def _require_variant(variant: str) -> None:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _integer_moments(sbar: Sequence[Number]) -> tuple[int, int, int, int]:
-    """Three rational moments as integers over their least common
-    denominator L: (S1, S2, S3, L)."""
-    s1, s2, s3 = sbar
-    q1, q2, q3 = s1.denominator, s2.denominator, s3.denominator
-    scale = math.lcm(q1, q2, q3)
-    return (
-        s1.numerator * (scale // q1),
-        s2.numerator * (scale // q2),
-        s3.numerator * (scale // q3),
-        scale,
-    )
+def _integer_moments(sbar: Sequence[Number]) -> list[int]:
+    """Rational moments as integers over their least common denominator L:
+    [S1, ..., S_ell, L]. Plain loops: generators cost more than the
+    arithmetic at these lengths."""
+    scale = 1
+    for s in sbar:
+        scale = math.lcm(scale, s.denominator)
+    scaled = []
+    for s in sbar:
+        scaled.append(s.numerator * (scale // s.denominator))
+    scaled.append(scale)
+    return scaled
 
 
 def _window_mass(
@@ -475,6 +496,29 @@ def _scaled_inconsistent(
     return _inconsistent(
         label, f"{Fraction(value, scale)} {relation} {Fraction(limit, scale)}"
     )
+
+
+def _lower_two_exact(
+    sbar: Sequence[Number], a: int, rho: int, n: int
+) -> Fraction:
+    """The refined two-moment lower bound on rational moments: the mass of
+    the vector on (b, b+1), or s1 / b**a when s2 = b**rho * s1, where
+    b = floor((s2/s1)**(1/rho)). The checks are the closed form's, run on
+    the integers."""
+    s1, s2, scale = _integer_moments(sbar)
+    if s1 == 0:
+        if s2 > 0:
+            raise _scaled_inconsistent("s2 must vanish when s1 does", scale, s2, ">")
+        return Fraction(0)
+    if s2 < s1:
+        raise _scaled_inconsistent("s2 >= s1", scale, s2, "<", s1)
+    limit = n**rho * s1
+    if s2 > limit:
+        raise _scaled_inconsistent("s2 <= n_support**rho * s1", scale, s2, ">", limit)
+    b = floor_root(s2 // s1, rho)
+    if s2 == b**rho * s1:
+        return Fraction(s1, scale * b**a)
+    return _window_mass((b, b + 1), s1, s2, 0, scale, a, rho)
 
 
 def _lower_three_exact(

@@ -110,25 +110,30 @@ def serialize_system(system: EventSystem) -> str:
 def write_text(path: str | None, text: str) -> None:
     """Write atomically via a unique sibling temp file; '-' or None means stdout.
 
-    On failure the temp file is removed and the target is left as it was."""
+    On failure the temp file is removed and the target is left as it was. An
+    operating-system error, such as a missing directory or a directory as the
+    target, is an input error naming the path."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     directory, name = os.path.split(path)
-    fd, temp = tempfile.mkstemp(
-        prefix=f"{name}.", suffix=".tmp", dir=directory or "."
-    )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        # mkstemp creates the file 0600; keep the mode a plain open() gives.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temp, 0o666 & ~umask)
-        os.replace(temp, path)
-    except BaseException:
-        os.unlink(temp)
-        raise
+        fd, temp = tempfile.mkstemp(
+            prefix=f"{name}.", suffix=".tmp", dir=directory or "."
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            # mkstemp creates the file 0600; keep the mode a plain open() gives.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(temp, 0o666 & ~umask)
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        raise CliInputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -260,9 +260,9 @@ def exhaustive_index_search(features, sbar, direction: str):
     return best
 
 
-# The refined three-moment bounds as their closed forms, evaluated in
-# Fractions at integral exponents; the library solves for the window masses
-# in integers instead and must agree in value, type and error text.
+# The refined two- and three-moment bounds as their closed forms, evaluated
+# in Fractions at integral exponents; the library solves for the window
+# masses in integers instead and must agree in value, type and error text.
 
 
 def _floor_root_by_search(value: Fraction, degree: int) -> int:
@@ -282,6 +282,38 @@ def _split(d1: Fraction, d2: Fraction, rho: int) -> tuple[int, Fraction]:
     ratio = Fraction(d2) / Fraction(d1)
     b = _floor_root_by_search(ratio, rho)
     return b, (ratio - b**rho) / ((b + 1) ** rho - b**rho)
+
+
+def closed_form_lower_two(moments) -> Fraction:
+    """s1 * ((1 - tbar) / b**a + tbar / (b + 1)**a) over the window b, b + 1
+    located by the ratio s2/s1."""
+    params = moments.params
+    a, rho, n = int(params.a), int(params.rho), params.n_support
+    s1, s2 = moments.sbar
+    if s1 == 0:
+        if s2 > 0:
+            raise _inconsistent("s2 must vanish when s1 does", f"{s2} > 0")
+        return Fraction(0)
+    if s2 < s1:
+        raise _inconsistent("s2 >= s1", f"{s2} < {s1}")
+    limit = n**rho * s1
+    if s2 > limit:
+        raise _inconsistent("s2 <= n_support**rho * s1", f"{s2} > {limit}")
+    b, tbar = _split(s1, s2, rho)
+    if tbar == 0:
+        return s1 / b**a
+    return s1 * (tbar / (b + 1) ** a + (1 - tbar) / b**a)
+
+
+def closed_form_upper_two(moments) -> Fraction:
+    """((n**(a+rho) - 1) s1 - (n**a - 1) s2) / (n**(a+rho) - n**a), the mass
+    on the window 1, n; s1 itself when n = 1. No checks."""
+    params = moments.params
+    a, rho, n = int(params.a), int(params.rho), params.n_support
+    s1, s2 = moments.sbar
+    if n == 1:
+        return s1
+    return ((n ** (a + rho) - 1) * s1 - (n**a - 1) * s2) / (n ** (a + rho) - n**a)
 
 
 def closed_form_lower_three(moments) -> Fraction:

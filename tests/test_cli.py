@@ -259,7 +259,7 @@ def test_write_text_failure_keeps_target_and_leaves_no_temp(
         # the lone surrogate cannot be encoded, so the write raises partway
         text, error = "x" * 100_000 + "\ud800", UnicodeEncodeError
     else:
-        text, error = "new\n", OSError
+        text, error = "new\n", CliInputError
 
         def refuse(src, dst):
             raise OSError("replace refused")
@@ -269,6 +269,30 @@ def test_write_text_failure_keeps_target_and_leaves_no_temp(
         write_text(str(target), text)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
     assert target.read_text(encoding="utf-8") == "old\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "bc", "generate"])
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.json", "No such file or directory"), ("taken", "Is a directory")],
+)
+def test_output_path_errors_are_input_errors(
+    s2_path, tmp_path, capsys, command, target, reason
+):
+    (tmp_path / "taken").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    path = str(tmp_path / target)
+    argv = {
+        "bounds": ["bounds", "--input", s2_path],
+        "bc": ["bc", "--model", "independent", "--p", "1/2", "--n", "3"],
+        "generate": ["generate", "--seed", "1", "--events", "2", "--atoms", "4"],
+    }[command]
+    assert main(argv + ["--output", path]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_generate_deterministic(tmp_path, capsys):

@@ -16,7 +16,9 @@ import pytest
 from conftest import (
     brute_force_moments,
     closed_form_lower_three,
+    closed_form_lower_two,
     closed_form_upper_three,
+    closed_form_upper_two,
     exhaustive_index_search,
     power_feature_matrix,
 )
@@ -38,7 +40,7 @@ from unionbounds import (
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
-from unionbounds.bounds import TOLERANCE_ENV_VAR
+from unionbounds.bounds import TOLERANCE_ENV_VAR, VARIANTS
 
 
 def make_moments(sbar, a=1, rho=1, n=3):
@@ -255,6 +257,153 @@ def test_two_moment_bounds_sandwich_explicit_vectors():
         assert upper_bound_two_moments(moments) >= total
 
 
+def _outcome(fn, moments):
+    """(type name, repr) of the value, or of the error and its text."""
+    try:
+        value = fn(moments)
+    except MomentConsistencyError as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, repr(value)
+
+
+def _assert_two_matches_closed_forms(moments):
+    assert _outcome(lower_bound_two_moments, moments) == _outcome(
+        closed_form_lower_two, moments
+    )
+    assert _outcome(upper_bound_two_moments, moments) == _outcome(
+        closed_form_upper_two, moments
+    )
+
+
+def test_exact_two_moment_bounds_equal_the_closed_forms():
+    # window masses in integers == the closed forms in Fractions, in value,
+    # type and error text, on genuine and on arbitrary rational moments
+    rng = random.Random(79)
+    for trial in range(600):
+        n = rng.randint(1, 12)
+        a, rho = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        params = ExponentParams(a, rho, 2, n)
+        if trial % 3:
+            vector = [
+                random_vector(rng, 1)[0] if rng.random() < 0.5 else Fraction(0)
+                for _ in range(n)
+            ]
+            vector[rng.randrange(n)] += Fraction(1, rng.randint(1, 9))
+            moments = MomentVector.from_vector(vector, params)
+        else:
+            sbar = [Fraction(rng.randint(0, 60), rng.randint(1, 12)) for _ in "12"]
+            moments = MomentVector(tuple(sbar), params)
+        _assert_two_matches_closed_forms(moments)
+
+
+def test_exact_two_moment_window_edges():
+    zero_text = "s2 must vanish when s1 does (1/3 > 0)"
+    for a, rho in ((1, 1), (2, 1), (1, 2), (3, 2), (3, 3)):
+        for n in (1, 2, 5):
+            zero = make_moments([0, 0], a, rho, n)
+            assert _outcome(lower_bound_two_moments, zero) == (
+                "Fraction",
+                "Fraction(0, 1)",
+            )
+            _assert_two_matches_closed_forms(zero)
+            only_s2 = make_moments([0, Fraction(1, 3)], a, rho, n)
+            with pytest.raises(MomentConsistencyError, match=re.escape(zero_text)):
+                lower_bound_two_moments(only_s2)
+            _assert_two_matches_closed_forms(only_s2)
+            params = ExponentParams(a, rho, 2, n)
+            for b in range(1, n + 1):
+                # all mass at b, so s2 = b**rho * s1; b = n is the top index
+                vector = [Fraction(0)] * n
+                vector[b - 1] = Fraction(2, 7)
+                moments = MomentVector.from_vector(vector, params)
+                assert lower_bound_two_moments(moments) == Fraction(2, 7)
+                _assert_two_matches_closed_forms(moments)
+                if b < n:  # the window (b, b + 1) itself
+                    vector[b] = Fraction(1, 5)
+                    moments = MomentVector.from_vector(vector, params)
+                    assert lower_bound_two_moments(moments) == Fraction(17, 35)
+                    _assert_two_matches_closed_forms(moments)
+
+
+@pytest.mark.parametrize(
+    "sbar, message",
+    [
+        ([Fraction(2, 3), Fraction(1, 2)], "s2 >= s1 (1/2 < 2/3)"),
+        ([Fraction(1, 4), Fraction(7, 2)], "s2 <= n_support**rho * s1 (7/2 > 3/4)"),
+    ],
+)
+def test_exact_lower_two_error_texts(sbar, message):
+    for bound in (lower_bound_two_moments, closed_form_lower_two):
+        with pytest.raises(MomentConsistencyError, match=re.escape(message)):
+            bound(make_moments(sbar, n=3))
+
+
+@pytest.mark.parametrize(
+    "sbar, a, rho, n, lower, upper",
+    [
+        ((1.5, 2.7), 1, 1, 3, 0.8999999999999999, 1.0999999999999999),
+        ((0.3, 0.71), 2, 2, 4, 0.19750000000000004, 0.274375),
+        ((0.25, 2.0), 1, 3, 2, 0.125, 0.125),
+        ((0.4, 1.6), 1, 2, 5, 0.2, 0.36000000000000004),
+        ((0.0, 0.0), 1, 1, 3, 0.0, 0.0),
+        ((0.9, 0.9), 3, 1, 1, 0.9, 0.9),
+        (
+            (Fraction(3, 2), Fraction(27, 10)),
+            Fraction(3, 2),
+            Fraction(5, 4),
+            3,
+            0.9372258248632496,
+            1.1713070184158554,
+        ),
+        ((0.5, 1.3), 0.7, 2.3, 6, 0.4216368583260947, 0.4905686410124644),
+        (
+            (Fraction(1, 3), Fraction(2, 5)),
+            1.5,
+            0.5,
+            4,
+            0.2292893218813452,
+            0.27499999999999997,
+        ),
+    ],
+)
+def test_float_two_moment_bounds_keep_the_closed_forms(sbar, a, rho, n, lower, upper):
+    # float moments and non-integral exponents keep the closed forms: these
+    # are their doubles, bit for bit
+    moments = MomentVector(sbar, ExponentParams(a, rho, 2, n))
+    got_lower = lower_bound_two_moments(moments)
+    got_upper = upper_bound_two_moments(moments)
+    assert type(got_lower) is float and type(got_upper) is float
+    assert (got_lower.hex(), got_upper.hex()) == (lower.hex(), upper.hex())
+
+
+def test_exact_bounds_on_int_moments_are_rational():
+    # int moments are exact, so no bound may return the float of an int / int
+    # division; from_vector of a zero vector gives such moments
+    moments = make_moments([1, 2])
+    assert _outcome(lower_bound_two_moments, moments) == ("Fraction", "Fraction(1, 2)")
+    assert _outcome(lower_bound_two_moments_simple, moments) == (
+        "Fraction",
+        "Fraction(1, 2)",
+    )
+    assert _outcome(upper_bound_two_moments, moments) == ("Fraction", "Fraction(2, 3)")
+    for n in (1, 3):
+        zero = make_moments([0, 0], n=n)
+        for bound in (
+            lower_bound_two_moments,
+            lower_bound_two_moments_simple,
+            upper_bound_two_moments,
+        ):
+            assert _outcome(bound, zero) == ("Fraction", "Fraction(0, 1)")
+    moments = make_moments([2, 3, 5])
+    for variant in VARIANTS:
+        for bound in (lower_bound_three_moments, upper_bound_three_moments):
+            assert type(bound(moments, variant)) is Fraction
+    assert lower_bound_three_moments(moments, "rho_ge_1_simple") == Fraction(17, 12)
+    assert upper_bound_three_moments(moments, "rho_ge_1_simple") == Fraction(3, 2)
+    zeros = MomentVector.from_vector([0, 0, 0], ExponentParams(1, 1, 3, 3))
+    assert [type(s) for s in zeros.sbar] == [Fraction] * 3
+
+
 def test_lower_two_simple_never_exceeds_refined():
     rng = random.Random(41)
     for _ in range(100):
@@ -341,15 +490,6 @@ def test_three_moment_variant_constraints():
         lower_bound_three_moments(narrow, "rho_ge_1_simple")
     with pytest.raises(ValueError):
         lower_bound_three_moments(make_moments(S3_OCCUPANCY), "bogus")
-
-
-def _outcome(fn, moments):
-    """(type name, repr) of the value, or of the error and its text."""
-    try:
-        value = fn(moments)
-    except MomentConsistencyError as exc:
-        return type(exc).__name__, str(exc)
-    return type(value).__name__, repr(value)
 
 
 def _assert_matches_closed_forms(moments):
@@ -476,9 +616,10 @@ def test_exact_lower_three_on_int_moments_is_rational():
     assert value == closed_form_lower_three(as_fractions)
     assert lower_bound_three_moments(make_moments([0, 0, 0])) == Fraction(0)
     assert isinstance(lower_bound_three_moments(make_moments([0, 0, 0])), Fraction)
-    # the upper bound at d1 = 0 is s1 itself, as before
+    # the upper bound at d1 = 0 is s1 itself, which int moments now carry as
+    # a Fraction
     flat = make_moments([2, 2, 2])
-    assert _outcome(upper_bound_three_moments, flat) == ("int", "2")
+    assert _outcome(upper_bound_three_moments, flat) == ("Fraction", "Fraction(2, 1)")
 
 
 @pytest.mark.parametrize(
