@@ -12,8 +12,6 @@ Arithmetic stays exact over the rationals whenever the inputs allow it.
 """
 
 from .bounds import (
-    DEFAULT_INEQUALITY_TOLERANCE,
-    TOLERANCE_ENV_VAR,
     VARIANTS,
     WINDOW_PATTERNS,
     CertificateError,
@@ -26,7 +24,6 @@ from .bounds import (
     delta_decomposition,
     general_bound,
     holder_lower_bound,
-    inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -72,7 +69,6 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "CertificateError",
-    "DEFAULT_INEQUALITY_TOLERANCE",
     "DeltaDecomposition",
     "EventSystem",
     "ExplicitSequence",
@@ -85,7 +81,6 @@ __all__ = [
     "MomentVector",
     "OccupancyProfile",
     "PerEventMoments",
-    "TOLERANCE_ENV_VAR",
     "VARIANTS",
     "WINDOW_PATTERNS",
     "bc_lower_estimate",
@@ -97,7 +92,6 @@ __all__ = [
     "general_bound",
     "holder_lower_bound",
     "holder_union_bound",
-    "inequality_tolerance",
     "kochen_stone_ratio",
     "lower_bound_three_moments",
     "lower_bound_two_moments",

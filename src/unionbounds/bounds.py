@@ -6,15 +6,20 @@ bounds on sum(r). Closed forms cover two and three moments; a general engine
 handles arbitrary non-negative feature rows with an explicit sign
 certificate.
 
+The three-moment bounds have one term formula per direction; the variants
+differ only in the window points where the two terms are evaluated:
+"refined" at (b, b+1), "a_le_rho" at (delta, delta+1), "a_ge_rho" at
+(delta-1, delta) and "rho_ge_1_simple" at the one point delta or delta-1.
+
 Arithmetic is exact (``fractions.Fraction``) whenever the moments are
-rational and a, rho are integers; otherwise IEEE doubles with relative
-tolerances are used. Every function is pure and safe for concurrent use.
+rational and a, rho are integers; otherwise IEEE doubles are used, and the
+float cone checks allow a fixed relative slack of 1e-9. Every function is
+pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -30,9 +35,10 @@ from ._numeric import (
     solve_linear,
 )
 
-DEFAULT_INEQUALITY_TOLERANCE = 1e-9
 INTEGER_SNAP = 1e-9
-TOLERANCE_ENV_VAR = "UNION_BOUNDS_TOL"
+# Relative slack of every float inequality check, until outward rounding
+# certifies float results.
+_FLOAT_SLACK = 1e-9
 
 VARIANTS = ("refined", "a_le_rho", "a_ge_rho", "rho_ge_1_simple")
 WINDOW_PATTERNS = ("lower_ell2", "upper_ell2", "lower_ell3", "upper_ell3")
@@ -53,25 +59,6 @@ class InfeasibleIndicesError(ArithmeticError):
 def _finite(x: Number) -> bool:
     """False for a float NaN or infinity; rationals are always finite."""
     return not isinstance(x, float) or math.isfinite(x)
-
-
-def inequality_tolerance(override: float | None = None) -> float:
-    """Relative tolerance used by float-mode inequality checks.
-
-    An explicit argument wins; otherwise the UNION_BOUNDS_TOL environment
-    variable overrides the default of 1e-9.
-    """
-    if override is not None:
-        return float(override)
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"invalid {TOLERANCE_ENV_VAR} value: {raw!r}"
-            ) from exc
-    return DEFAULT_INEQUALITY_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -163,18 +150,17 @@ class MomentVector:
             sbar.append(total)
         return cls(tuple(sbar), params)
 
-    def validate(self, tolerance: float | None = None) -> "MomentVector":
+    def validate(self) -> "MomentVector":
         """Check the moment-cone inequalities any genuine vector satisfies.
 
         Raises MomentConsistencyError naming the violated inequality.
         """
-        tol = inequality_tolerance(tolerance)
         n = self.params.n_support
         step = rpow(n, self.params.rho)
         for k in range(self.params.ell - 1):
             lo, hi = self.sbar[k], self.sbar[k + 1]
-            _check_lower(hi, lo, tol, f"s{k + 2} >= s{k + 1}")
-            _check_upper(hi, step * lo, tol, f"s{k + 2} <= n**rho * s{k + 1}")
+            _check_lower(hi, lo, f"s{k + 2} >= s{k + 1}")
+            _check_upper(hi, step * lo, f"s{k + 2} <= n**rho * s{k + 1}")
         if self.params.ell >= 3:
             s1, s2, s3 = self.sbar[:3]
             d1 = step * s1 - s2
@@ -182,7 +168,6 @@ class MomentVector:
             _check_upper(
                 d2,
                 rpow(n - 1, self.params.rho) * d1,
-                tol,
                 "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)",
             )
             h1 = s2 - s1
@@ -191,7 +176,6 @@ class MomentVector:
                 _check_lower(
                     h2,
                     rpow(2, self.params.rho) * h1,
-                    tol,
                     "(s3 - s2) >= 2**rho * (s2 - s1)",
                 )
         return self
@@ -233,39 +217,37 @@ def _inconsistent(label: str, detail: str) -> MomentConsistencyError:
     return MomentConsistencyError(f"inconsistent moments: {label} ({detail})")
 
 
-def _check_nonneg(
-    value: Number, tol: float, label: str, scale: Number = 1
-) -> Number:
+def _check_nonneg(value: Number, label: str, scale: Number = 1) -> Number:
     if is_exact(value):
         if value < 0:
             raise _inconsistent(label, f"got {value}")
         return value
     v = float(value)
-    if v < -tol * max(1.0, abs(float(scale))):
+    if v < -_FLOAT_SLACK * max(1.0, abs(float(scale))):
         raise _inconsistent(label, f"got {v}")
     return max(v, 0.0)
 
 
-def _check_lower(value: Number, limit: Number, tol: float, label: str) -> Number:
+def _check_lower(value: Number, limit: Number, label: str) -> Number:
     """Require value >= limit; clamp float noise up to the limit."""
     if all_exact(value, limit):
         if value < limit:
             raise _inconsistent(label, f"{value} < {limit}")
         return value
     v, lim = float(value), float(limit)
-    if v < lim - tol * max(1.0, abs(v), abs(lim)):
+    if v < lim - _FLOAT_SLACK * max(1.0, abs(v), abs(lim)):
         raise _inconsistent(label, f"{v} < {lim}")
     return max(v, lim)
 
 
-def _check_upper(value: Number, limit: Number, tol: float, label: str) -> Number:
+def _check_upper(value: Number, limit: Number, label: str) -> Number:
     """Require value <= limit; clamp float noise down to the limit."""
     if all_exact(value, limit):
         if value > limit:
             raise _inconsistent(label, f"{value} > {limit}")
         return value
     v, lim = float(value), float(limit)
-    if v > lim + tol * max(1.0, abs(v), abs(lim)):
+    if v > lim + _FLOAT_SLACK * max(1.0, abs(v), abs(lim)):
         raise _inconsistent(label, f"{v} > {lim}")
     return min(v, lim)
 
@@ -332,48 +314,44 @@ def delta_decomposition(
     return DeltaDecomposition(delta, theta, refined, base)
 
 
-def _two_moment_window(
-    moments: MomentVector, tol: float
-) -> tuple[Number, Number] | None:
+def _two_moment_window(moments: MomentVector) -> tuple[Number, Number] | None:
     """Shared validation for the two-moment bounds: the checked (s1, s2), or
     None when s1 = 0."""
     params = moments.params
     s1, s2 = moments.sbar
     if s1 == 0:
-        _check_upper(s2, _zero_like(s2), tol, "s2 must vanish when s1 does")
+        _check_upper(s2, _zero_like(s2), "s2 must vanish when s1 does")
         return None
-    s2 = _check_lower(s2, s1, tol, "s2 >= s1")
+    s2 = _check_lower(s2, s1, "s2 >= s1")
     s2 = _check_upper(
         s2,
         rpow(params.n_support, params.rho) * s1,
-        tol,
         "s2 <= n_support**rho * s1",
     )
     return s1, s2
 
 
-def lower_bound_two_moments(
-    moments: MomentVector, *, tolerance: float | None = None
-) -> Number:
+def lower_bound_two_moments(moments: MomentVector) -> Number:
     """Sharp lower bound on sum(r) from the first two power moments.
 
     The extremal vector sits on the two integers bracketing
     delta = (s2/s1)**(1/rho); theta_refined splits the mass between them, so
     the bound is s1 * (theta_refined / (base+1)**a + (1-theta_refined) /
     base**a). Equality holds exactly when r is supported on {base, base+1}.
-    On exact input it is that vector's total mass, solved in integers
-    (``_lower_two_exact``).
+    On exact input it is that vector's total mass, solved in integers: the
+    mass on (b, b+1), or s1 / b**a when s2 = b**rho * s1.
     """
     params = _require_ell(moments, 2)
-    tol = inequality_tolerance(tolerance)
     if moments.exact:
-        return _lower_two_exact(
-            moments.sbar,
-            integral_value(params.a),
-            integral_value(params.rho),
-            params.n_support,
-        )
-    prepared = _two_moment_window(moments, tol)
+        a, rho = integral_value(params.a), integral_value(params.rho)
+        s1, s2, scale = _checked_two_integers(moments.sbar, rho, params.n_support)
+        if s1 == 0:
+            return Fraction(0)
+        b = floor_root(s2 // s1, rho)
+        if s2 == b**rho * s1:
+            return Fraction(s1, scale * b**a)
+        return _window_mass((b, b + 1), s1, s2, 0, scale, a, rho)
+    prepared = _two_moment_window(moments)
     if prepared is None:
         return _zero_like(*moments.sbar)
     s1, s2 = prepared
@@ -385,9 +363,7 @@ def lower_bound_two_moments(
     return s1 * (dd.theta_refined / high + (1 - dd.theta_refined) / low)
 
 
-def lower_bound_two_moments_simple(
-    moments: MomentVector, *, tolerance: float | None = None
-) -> Number:
+def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     """Window-free two-moment lower bound.
 
     s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1; for rho < 1 the same value
@@ -395,8 +371,7 @@ def lower_bound_two_moments_simple(
     two-moment bound on the same moments.
     """
     params = _require_ell(moments, 2)
-    tol = inequality_tolerance(tolerance)
-    prepared = _two_moment_window(moments, tol)
+    prepared = _two_moment_window(moments)
     if prepared is None:
         return _zero_like(*moments.sbar)
     s1, s2 = prepared
@@ -417,25 +392,26 @@ def lower_bound_two_moments_simple(
     return core * (1 - dd.theta_refined) / (1 - dd.theta)
 
 
-def upper_bound_two_moments(
-    moments: MomentVector, *, tolerance: float | None = None
-) -> Number:
+def upper_bound_two_moments(moments: MomentVector) -> Number:
     """Sharp upper bound from two power moments, attained on support {1, n}.
 
-    The raw value is returned unclamped; it can exceed one when the moments
-    come from a probability setting. n_support = 1 degenerates to s1. On
-    exact input it is the mass of the vector on (1, n), solved in integers.
+    The moments must pass the lower bound's cone checks. The raw value is
+    returned unclamped; it can exceed one when the moments come from a
+    probability setting. n_support = 1 degenerates to s1. On exact input it
+    is the mass of the vector on (1, n), solved in integers.
     """
     params = _require_ell(moments, 2)
-    del tolerance  # no cone narrower than non-negativity is required here
-    s1, s2 = moments.sbar
     n = params.n_support
+    if moments.exact:
+        rho = integral_value(params.rho)
+        s1, s2, scale = _checked_two_integers(moments.sbar, rho, n)
+        if n == 1:
+            return moments.sbar[0]
+        return _window_mass((1, n), s1, s2, 0, scale, integral_value(params.a), rho)
+    _two_moment_window(moments)  # the checks only: the value reads the raw moments
+    s1, s2 = moments.sbar
     if n == 1:
         return s1
-    if moments.exact:
-        a, rho = integral_value(params.a), integral_value(params.rho)
-        s1, s2, scale = _integer_moments(moments.sbar)
-        return _window_mass((1, n), s1, s2, 0, scale, a, rho)
     na = rpow(n, params.a)
     nar = rpow(n, params.a + params.rho)
     return ((nar - 1) * s1 - (na - 1) * s2) / (nar - na)
@@ -498,27 +474,20 @@ def _scaled_inconsistent(
     )
 
 
-def _lower_two_exact(
-    sbar: Sequence[Number], a: int, rho: int, n: int
-) -> Fraction:
-    """The refined two-moment lower bound on rational moments: the mass of
-    the vector on (b, b+1), or s1 / b**a when s2 = b**rho * s1, where
-    b = floor((s2/s1)**(1/rho)). The checks are the closed form's, run on
-    the integers."""
-    s1, s2, scale = _integer_moments(sbar)
+def _checked_two_integers(sbar: Sequence[Number], rho: int, n: int) -> list[int]:
+    """[S1, S2, L] of ``_integer_moments`` after the two-moment cone checks
+    of ``_two_moment_window``, run on the integers with the same texts."""
+    s1, s2, scale = checked = _integer_moments(sbar)
     if s1 == 0:
         if s2 > 0:
             raise _scaled_inconsistent("s2 must vanish when s1 does", scale, s2, ">")
-        return Fraction(0)
+        return checked
     if s2 < s1:
         raise _scaled_inconsistent("s2 >= s1", scale, s2, "<", s1)
     limit = n**rho * s1
     if s2 > limit:
         raise _scaled_inconsistent("s2 <= n_support**rho * s1", scale, s2, ">", limit)
-    b = floor_root(s2 // s1, rho)
-    if s2 == b**rho * s1:
-        return Fraction(s1, scale * b**a)
-    return _window_mass((b, b + 1), s1, s2, 0, scale, a, rho)
+    return checked
 
 
 def _lower_three_exact(
@@ -578,25 +547,67 @@ def _upper_three_exact(
     return _window_mass(window, s1, s2, s3, scale, a, rho)
 
 
+# The two window points of each two-term variant, as offsets k from the
+# origin x of ``_window_origin``: x = b ("refined") or x = delta (the others).
+_POINT_OFFSETS = {"refined": (0, 1), "a_le_rho": (0, 1), "a_ge_rho": (-1, 0)}
+
+
+def _window_origin(
+    dd: DeltaDecomposition, d1: Number, d2: Number, a: Number, rho: Number, variant: str
+) -> tuple:
+    """(x, a, rho, x**a, x**rho) at the origin x of the variant's points.
+
+    A simplified variant has x = delta, with delta**rho = d2/d1 exact
+    whenever the inputs are; its exponent condition is checked here."""
+    if variant == "refined":
+        b = dd.base
+        return b, a, rho, rpow(b, a), rpow(b, rho)
+    delta, d_rho = dd.delta, d2 / d1
+    d_a = d_rho if a == rho else rpow(delta, a)
+    if variant == "a_le_rho" and not a <= rho:
+        raise ValueError("variant 'a_le_rho' requires a <= rho")
+    if variant == "a_ge_rho" and not a >= rho:
+        raise ValueError("variant 'a_ge_rho' requires a >= rho")
+    if variant == "rho_ge_1_simple" and not rho >= 1:
+        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
+    return delta, a, rho, d_a, d_rho
+
+
+def _point(win: tuple, k: int) -> tuple[Number, Number]:
+    """(y**a, y**rho) at the point y = x + k of the window ``win``."""
+    x, a, rho, x_a, x_rho = win
+    if k == 0:
+        return x_a, x_rho
+    return rpow(x + k, a), rpow(x + k, rho)
+
+
+def _lower_term(
+    d1: Number, w: Number, big_b: Number, win: tuple, k: int, top: tuple
+) -> Number:
+    """d1 * w * (n**a - y**a) / (n**a * B * (n**rho - y**rho)) at the point
+    y = x + k, for weight w, B = b**a (delta**a in "rho_ge_1_simple") and
+    top = (n**a, n**rho)."""
+    (y_a, y_rho), (n_a, n_rho) = _point(win, k), top
+    return d1 * w * (n_a - y_a) / (n_a * big_b * (n_rho - y_rho))
+
+
 def lower_bound_three_moments(
-    moments: MomentVector,
-    variant: str = "refined",
-    *,
-    tolerance: float | None = None,
+    moments: MomentVector, variant: str = "refined"
 ) -> Number:
     """Lower bound on sum(r) from three power moments.
 
     Works through the residuals d1 = n**rho * s1 - s2 and
     d2 = n**rho * s2 - s3, whose own ratio locates a window next to the top
-    index. The "refined" variant is sharp for vectors supported on
-    {m-1, m, n}; on exact input it is that vector's total mass, solved in
-    integers (``_lower_three_exact``). Simplified variants: "a_le_rho" and
-    "a_ge_rho" drop the window rounding on one side, "rho_ge_1_simple" drops
-    the fractional split entirely (requires rho >= 1).
+    index: the bound is s1/n**a plus a ``_lower_term`` at each window point,
+    weighted 1 - theta_refined and theta_refined. The "refined" variant
+    takes the points (b, b+1) and is sharp for vectors supported on
+    {b, b+1, n}; on exact input it is that vector's total mass, solved in
+    integers (``_lower_three_exact``). "a_le_rho" takes (delta, delta+1) and
+    "a_ge_rho" (delta-1, delta); "rho_ge_1_simple" (requires rho >= 1)
+    takes one term of weight one, at delta when a < rho, else at delta-1.
     """
     params = _require_ell(moments, 3)
     _require_variant(variant)
-    tol = inequality_tolerance(tolerance)
     a, rho, n = params.a, params.rho, params.n_support
     if variant == "refined" and moments.exact:
         return _lower_three_exact(
@@ -606,83 +617,34 @@ def lower_bound_three_moments(
     n_rho = rpow(n, rho)
     n_a = rpow(n, a)
     d1 = _check_nonneg(
-        n_rho * s1 - s2, tol, "n**rho * s1 - s2 must be non-negative", n_rho * s1
+        n_rho * s1 - s2, "n**rho * s1 - s2 must be non-negative", n_rho * s1
     )
     d2 = _check_nonneg(
-        n_rho * s2 - s3, tol, "n**rho * s2 - s3 must be non-negative", n_rho * s2
+        n_rho * s2 - s3, "n**rho * s2 - s3 must be non-negative", n_rho * s2
     )
     if d1 == 0:
         return s1 / n_a  # all mass sits at the top index
-    d2 = _check_lower(
-        d2, d1, tol, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)"
-    )
+    d2 = _check_lower(d2, d1, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)")
     d2 = _check_upper(
         d2,
         rpow(n - 1, rho) * d1,
-        tol,
         "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)",
     )
     dd = delta_decomposition(d1, d2, rho)
     b, tbar = dd.base, dd.theta_refined
     tail = s1 / n_a
-    if variant == "refined":
-        t1 = (
-            d1
-            * (1 - tbar)
-            * (n_a - rpow(b, a))
-            / (n_a * rpow(b, a) * (n_rho - rpow(b, rho)))
-        )
-        if tbar == 0:
-            return t1 + tail
-        t2 = (
-            d1
-            * tbar
-            * (n_a - rpow(b + 1, a))
-            / (n_a * rpow(b + 1, a) * (n_rho - rpow(b + 1, rho)))
-        )
-        return t1 + t2 + tail
-    delta = dd.delta
-    d_rho = d2 / d1  # delta**rho, exact whenever the inputs are
-    d_a = d_rho if a == rho else rpow(delta, a)
-    if variant == "a_le_rho":
-        if not a <= rho:
-            raise ValueError("variant 'a_le_rho' requires a <= rho")
-        t1 = d1 * (1 - tbar) * (n_a - d_a) / (n_a * rpow(b, a) * (n_rho - d_rho))
-        if tbar == 0:
-            return t1 + tail
-        t2 = (
-            d1
-            * tbar
-            * (n_a - rpow(delta + 1, a))
-            / (n_a * rpow(b + 1, a) * (n_rho - rpow(delta + 1, rho)))
-        )
-        return t1 + t2 + tail
-    if variant == "a_ge_rho":
-        if not a >= rho:
-            raise ValueError("variant 'a_ge_rho' requires a >= rho")
-        t1 = (
-            d1
-            * (1 - tbar)
-            * (n_a - rpow(delta - 1, a))
-            / (n_a * rpow(b, a) * (n_rho - rpow(delta - 1, rho)))
-        )
-        if tbar == 0:
-            return t1 + tail
-        t2 = d1 * tbar * (n_a - d_a) / (n_a * rpow(b + 1, a) * (n_rho - d_rho))
-        return t1 + t2 + tail
-    if not rho >= 1:
-        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
-    if a < rho:
-        core = d1 * (n_a - d_a) / (n_a * d_a * (n_rho - d_rho))
-    elif a == rho:  # the power ratio below is exactly one
-        core = d1 / (n_a * d_a)
-    else:
-        core = (
-            d1
-            * (n_a - rpow(delta - 1, a))
-            / (n_a * d_a * (n_rho - rpow(delta - 1, rho)))
-        )
-    return core + tail
+    win, top = _window_origin(dd, d1, d2, a, rho, variant), (n_a, n_rho)
+    if variant == "rho_ge_1_simple":
+        d_a = win[3]
+        if a == rho:  # the term's power ratio is exactly one
+            return d1 / (n_a * d_a) + tail
+        return _lower_term(d1, 1, d_a, win, 0 if a < rho else -1, top) + tail
+    lo, hi = _POINT_OFFSETS[variant]
+    t1 = _lower_term(d1, 1 - tbar, rpow(b, a), win, lo, top)
+    if tbar == 0:
+        return t1 + tail
+    t2 = _lower_term(d1, tbar, rpow(b + 1, a), win, hi, top)
+    return t1 + t2 + tail
 
 
 def _power_ratio(x: Number, a: Number, rho: Number) -> Number:
@@ -694,80 +656,55 @@ def _power_ratio(x: Number, a: Number, rho: Number) -> Number:
     return (rpow(x, a) - 1) / (rpow(x, rho) - 1)
 
 
+def _upper_term(d1: Number, w: Number, big_b: Number, win: tuple, k: int) -> Number:
+    """d1 * w * (y**a - 1) / (B * (y**rho - 1)) at the point y = x + k, for
+    weight w and B = b**a (delta**a in "rho_ge_1_simple"). At y = delta - 1,
+    which is 1 when delta = 2, it is d1 * w * R / B with R the
+    ``_power_ratio``."""
+    if k < 0:
+        x, a, rho = win[:3]
+        return d1 * w * _power_ratio(x + k, a, rho) / big_b
+    y_a, y_rho = _point(win, k)
+    return d1 * w * (y_a - 1) / (big_b * (y_rho - 1))
+
+
 def upper_bound_three_moments(
-    moments: MomentVector,
-    variant: str = "refined",
-    *,
-    tolerance: float | None = None,
+    moments: MomentVector, variant: str = "refined"
 ) -> Number:
     """Upper bound on sum(r) from three power moments.
 
     Works through d1 = s2 - s1 and d2 = s3 - s2; their ratio locates a
-    window away from index one, and the bound subtracts the certified excess
-    from s1. Sharp ("refined") for vectors supported on {1, m-1, m}; on exact
-    input it is that vector's total mass, solved in integers
-    (``_upper_three_exact``). The simplified variants mirror the lower-bound
-    ones; the a >= rho forms read ((delta-1)**a - 1) / ((delta-1)**rho - 1)
-    at delta = 2 as its limit a/rho.
+    window away from index one, and the bound is s1 minus an
+    ``_upper_term`` at each of the points the lower bound's variant of the
+    same name takes. Sharp ("refined") for vectors supported on
+    {1, b, b+1}; on exact input it is that vector's total mass, solved in
+    integers (``_upper_three_exact``).
     """
     params = _require_ell(moments, 3)
     _require_variant(variant)
-    tol = inequality_tolerance(tolerance)
     a, rho, n = params.a, params.rho, params.n_support
     if variant == "refined" and moments.exact:
         return _upper_three_exact(
             moments.sbar, integral_value(a), integral_value(rho), n
         )
     s1, s2, s3 = moments.sbar
-    d1 = _check_nonneg(s2 - s1, tol, "s2 - s1 must be non-negative", s2)
-    d2 = _check_nonneg(s3 - s2, tol, "s3 - s2 must be non-negative", s3)
+    d1 = _check_nonneg(s2 - s1, "s2 - s1 must be non-negative", s2)
+    d2 = _check_nonneg(s3 - s2, "s3 - s2 must be non-negative", s3)
     if d1 == 0:
         return s1
-    d2 = _check_lower(
-        d2, rpow(2, rho) * d1, tol, "(s3 - s2) >= 2**rho * (s2 - s1)"
-    )
-    d2 = _check_upper(
-        d2, rpow(n, rho) * d1, tol, "(s3 - s2) <= n**rho * (s2 - s1)"
-    )
+    d2 = _check_lower(d2, rpow(2, rho) * d1, "(s3 - s2) >= 2**rho * (s2 - s1)")
+    d2 = _check_upper(d2, rpow(n, rho) * d1, "(s3 - s2) <= n**rho * (s2 - s1)")
     dd = delta_decomposition(d1, d2, rho)
     b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks
-    if variant == "refined":
-        ba = rpow(b, a)
-        t1 = d1 * (1 - tbar) * (ba - 1) / (ba * (rpow(b, rho) - 1))
-        if tbar == 0:
-            return s1 - t1
-        ca = rpow(b + 1, a)
-        t2 = d1 * tbar * (ca - 1) / (ca * (rpow(b + 1, rho) - 1))
-        return s1 - t1 - t2
-    delta = dd.delta
-    d_rho = d2 / d1
-    d_a = d_rho if a == rho else rpow(delta, a)
-    if variant == "a_le_rho":
-        if not a <= rho:
-            raise ValueError("variant 'a_le_rho' requires a <= rho")
-        t1 = d1 * (1 - tbar) * (d_a - 1) / (rpow(b, a) * (d_rho - 1))
-        if tbar == 0:
-            return s1 - t1
-        t2 = (
-            d1
-            * tbar
-            * (rpow(delta + 1, a) - 1)
-            / (rpow(b + 1, a) * (rpow(delta + 1, rho) - 1))
-        )
-        return s1 - t1 - t2
-    if variant == "a_ge_rho":
-        if not a >= rho:
-            raise ValueError("variant 'a_ge_rho' requires a >= rho")
-        t1 = d1 * (1 - tbar) * _power_ratio(delta - 1, a, rho) / rpow(b, a)
-        if tbar == 0:
-            return s1 - t1
-        t2 = d1 * tbar * (d_a - 1) / (rpow(b + 1, a) * (d_rho - 1))
-        return s1 - t1 - t2
-    if not rho >= 1:
-        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
-    if a < rho:
-        return s1 - d1 * (d_a - 1) / (d_a * (d_rho - 1))
-    return s1 - d1 * _power_ratio(delta - 1, a, rho) / d_a
+    win = _window_origin(dd, d1, d2, a, rho, variant)
+    if variant == "rho_ge_1_simple":
+        return s1 - _upper_term(d1, 1, win[3], win, 0 if a < rho else -1)
+    lo, hi = _POINT_OFFSETS[variant]
+    t1 = _upper_term(d1, 1 - tbar, rpow(b, a), win, lo)
+    if tbar == 0:
+        return s1 - t1
+    t2 = _upper_term(d1, tbar, rpow(b + 1, a), win, hi)
+    return s1 - t1 - t2
 
 
 def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
@@ -793,8 +730,6 @@ def general_bound(
     sbar: Sequence[Number],
     indices: Sequence[int],
     direction: str,
-    *,
-    tolerance: float | None = None,
 ) -> GeneralBoundOutcome:
     """Certified bound from generalized moments on a chosen index window.
 
@@ -826,7 +761,7 @@ def general_bound(
     ):
         raise ValueError("indices must be strictly increasing and within 1..n")
     exact = all_exact(*moments) and all_exact(*(x for row in rows for x in row))
-    tol = 0.0 if exact else inequality_tolerance(tolerance)
+    tol = 0.0 if exact else _FLOAT_SLACK
     try:
         coeff = solve_linear(
             [[rows[j][i - 1] for j in range(ell)] for i in idx], [1] * ell

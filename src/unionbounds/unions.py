@@ -22,8 +22,8 @@ from ._numeric import Number, is_exact
 from .bounds import (
     ExponentParams,
     MomentVector,
+    _FLOAT_SLACK,
     holder_lower_bound,
-    inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -142,15 +142,13 @@ def _moment_vectors(
     return cache[key]
 
 
-def _evaluate(
-    system: EventSystem, key: RowKey, tolerance: float, cache: dict
-) -> Number:
+def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     """The row's scalar bound, looked up at call time, summed over the
     statistic's moment vectors: once per distinct vector, and once per
-    system object for each row key and tolerance."""
+    system object for each row key."""
     memo = system.row_values
-    if (key, tolerance) in memo:
-        return memo[key, tolerance]
+    if key in memo:
+        return memo[key]
     kind, statistic, ell, variant, a, rho = key
     if ell == 3:
         three = (
@@ -164,7 +162,7 @@ def _evaluate(
     else:
         bound = lower_bound_two_moments
     order, vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
-    values = {row: bound(m, tolerance=tolerance) for row, m in vectors.items()}
+    values = {row: bound(m) for row, m in vectors.items()}
     total: Number
     if statistic == "occupancy":
         total = values[None]
@@ -172,7 +170,7 @@ def _evaluate(
         total = Fraction(0)  # the per-event bounds add up, in event order
         for row in order:
             total = total + values[row]
-    memo[key, tolerance] = total
+    memo[key] = total
     return total
 
 
@@ -181,8 +179,6 @@ def union_bound(
     name: str,
     a: Number = 1,
     rho: Number = 1,
-    *,
-    tolerance: float | None = None,
 ) -> Number:
     """Value of the bound ``name`` (a key of BOUNDS) on ``system``.
 
@@ -193,8 +189,7 @@ def union_bound(
     if system.n_events == 0:
         raise ValueError("the system has no events")
     _check_exponents(a, rho)
-    tol = inequality_tolerance(tolerance)
-    return _evaluate(system, _row_key(name, a, rho), tol, {})
+    return _evaluate(system, _row_key(name, a, rho), {})
 
 
 @dataclass(frozen=True)
@@ -230,14 +225,14 @@ class BoundReport:
         raise KeyError(name)
 
 
-def _sandwich_ok(kind: str, value: Number, exact: Fraction, tol: float) -> bool:
+def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
     if is_exact(value):
         return value <= exact if kind == "lower" else value >= exact
     v, e = float(value), float(exact)
     scale = max(1.0, abs(v), abs(e))
     if kind == "lower":
-        return v <= e + tol * scale
-    return v >= e - tol * scale
+        return v <= e + _FLOAT_SLACK * scale
+    return v >= e - _FLOAT_SLACK * scale
 
 
 def _clamp(value: Number) -> Number:
@@ -252,8 +247,6 @@ def compare_bounds(
     a: Number = 1,
     rho: Number = 1,
     include: Iterable[str] | None = None,
-    *,
-    tolerance: float | None = None,
 ) -> BoundReport:
     """Evaluate the selected bounds and check each against the exact value.
 
@@ -262,7 +255,7 @@ def compare_bounds(
     error text; any other exception propagates. ``include`` filters by name
     (see BOUND_NAMES); rows with fixed exponents in BOUNDS evaluate there
     regardless of the requested ones. Rows that compute the same thing are
-    evaluated once per system object and tolerance, so the fixed-exponent
+    evaluated once per system object, so the fixed-exponent
     rows serve every later report on the same object.
     """
     if system.n_events == 0:
@@ -273,7 +266,6 @@ def compare_bounds(
         raise ValueError(f"unknown bound names: {sorted(unknown)}")
     _check_exponents(a, rho)
     exact = exact_union_probability(system)
-    tol = inequality_tolerance(tolerance)
     cache: dict = {}
     entries = []
     for name in BOUND_NAMES:
@@ -282,7 +274,7 @@ def compare_bounds(
         key = _row_key(name, a, rho)
         kind = key[0]
         try:
-            value = _evaluate(system, key, tol, cache)
+            value = _evaluate(system, key, cache)
         except (ValueError, ArithmeticError) as exc:  # the library's own errors
             entries.append(
                 BoundEntry(
@@ -303,7 +295,7 @@ def compare_bounds(
                 value,
                 _clamp(value),
                 "rational" if is_exact(value) else "float",
-                _sandwich_ok(kind, value, exact, tol),
+                _sandwich_ok(kind, value, exact),
             )
         )
     return BoundReport(exact, a, rho, tuple(entries))

@@ -6,6 +6,7 @@ so agreement between the two is a meaningful check.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -284,21 +285,28 @@ def _split(d1: Fraction, d2: Fraction, rho: int) -> tuple[int, Fraction]:
     return b, (ratio - b**rho) / ((b + 1) ** rho - b**rho)
 
 
+def _check_two(s1: Fraction, s2: Fraction, rho: int, n: int) -> None:
+    """The two-moment cone: s2 = 0 when s1 = 0, else s1 <= s2 <= n**rho s1."""
+    if s1 == 0:
+        if s2 > 0:
+            raise _inconsistent("s2 must vanish when s1 does", f"{s2} > 0")
+        return
+    if s2 < s1:
+        raise _inconsistent("s2 >= s1", f"{s2} < {s1}")
+    limit = n**rho * s1
+    if s2 > limit:
+        raise _inconsistent("s2 <= n_support**rho * s1", f"{s2} > {limit}")
+
+
 def closed_form_lower_two(moments) -> Fraction:
     """s1 * ((1 - tbar) / b**a + tbar / (b + 1)**a) over the window b, b + 1
     located by the ratio s2/s1."""
     params = moments.params
     a, rho, n = int(params.a), int(params.rho), params.n_support
     s1, s2 = moments.sbar
+    _check_two(s1, s2, rho, n)
     if s1 == 0:
-        if s2 > 0:
-            raise _inconsistent("s2 must vanish when s1 does", f"{s2} > 0")
         return Fraction(0)
-    if s2 < s1:
-        raise _inconsistent("s2 >= s1", f"{s2} < {s1}")
-    limit = n**rho * s1
-    if s2 > limit:
-        raise _inconsistent("s2 <= n_support**rho * s1", f"{s2} > {limit}")
     b, tbar = _split(s1, s2, rho)
     if tbar == 0:
         return s1 / b**a
@@ -307,10 +315,12 @@ def closed_form_lower_two(moments) -> Fraction:
 
 def closed_form_upper_two(moments) -> Fraction:
     """((n**(a+rho) - 1) s1 - (n**a - 1) s2) / (n**(a+rho) - n**a), the mass
-    on the window 1, n; s1 itself when n = 1. No checks."""
+    on the window 1, n; s1 itself when n = 1. The checks are the lower
+    bound's."""
     params = moments.params
     a, rho, n = int(params.a), int(params.rho), params.n_support
     s1, s2 = moments.sbar
+    _check_two(s1, s2, rho, n)
     if n == 1:
         return s1
     return ((n ** (a + rho) - 1) * s1 - (n**a - 1) * s2) / (n ** (a + rho) - n**a)
@@ -375,6 +385,62 @@ def closed_form_upper_three(moments) -> Fraction:
     c = b + 1
     t2 = d1 * tbar * (c**a - 1) / (c**a * (c**rho - 1))
     return s1 - t1 - t2
+
+
+# The simplified three-moment variants as weighted sums of the paper's term
+# at explicit points read off delta itself (a rational when rho = 1 and the
+# moments are), for genuine moments only: no cone checks.
+
+
+def _simplified_terms(variant: str, d1, d2, a, rho) -> list[tuple]:
+    """(weight, point x, B) of each term: the variant's window points around
+    delta = (d2/d1)**(1/rho), with b = floor(delta) and the refined weight."""
+    ratio = d2 / d1
+    delta = ratio if rho == 1 else float(ratio) ** (1 / rho)
+    b = math.floor(delta)
+    tbar = (ratio - b**rho) / ((b + 1) ** rho - b**rho)
+    if variant == "a_le_rho":
+        return [(1 - tbar, delta, b**a), (tbar, delta + 1, (b + 1) ** a)]
+    if variant == "a_ge_rho":
+        return [(1 - tbar, delta - 1, b**a), (tbar, delta, (b + 1) ** a)]
+    assert variant == "rho_ge_1_simple"
+    return [(1, delta if a < rho else delta - 1, delta**a)]
+
+
+def closed_form_lower_simple(moments, variant: str):
+    """s1/n**a + sum of d1 w (n**a - x**a) / (n**a B (n**rho - x**rho)) over
+    the terms, with d1 = n**rho s1 - s2 and d2 = n**rho s2 - s3."""
+    params = moments.params
+    a, rho, n = params.a, params.rho, params.n_support
+    s1, s2, s3 = moments.sbar
+    d1, d2 = n**rho * s1 - s2, n**rho * s2 - s3
+    total = s1 / n**a
+    if d1 == 0:
+        return total
+    for w, x, big_b in _simplified_terms(variant, d1, d2, a, rho):
+        if w:
+            total += d1 * w * (n**a - x**a) / (n**a * big_b * (n**rho - x**rho))
+    return total
+
+
+def closed_form_upper_simple(moments, variant: str):
+    """s1 minus the sum of d1 w (x**a - 1) / (B (x**rho - 1)) over the terms,
+    that ratio read at x = 1 as a/rho, with d1 = s2 - s1 and d2 = s3 - s2."""
+    params = moments.params
+    a, rho = params.a, params.rho
+    s1, s2, s3 = moments.sbar
+    d1, d2 = s2 - s1, s3 - s2
+    total = s1
+    if d1 == 0:
+        return total
+    for w, x, big_b in _simplified_terms(variant, d1, d2, a, rho):
+        if w:
+            if x == 1:
+                ratio = Fraction(a) / Fraction(rho)
+            else:
+                ratio = (x**a - 1) / (x**rho - 1)
+            total -= d1 * w * ratio / big_b
+    return total
 
 
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:

@@ -89,7 +89,7 @@ def test_golden_output(case, fmt, tmp_path, monkeypatch, capsys):
     write_system(tmp_path, S3_WEIGHTS, S3_EVENTS, "s3.json")
     if case == "bounds_error":
 
-        def refuse(moments, tolerance=None):
+        def refuse(moments):
             raise MomentConsistencyError("moments refused")
 
         monkeypatch.setattr(unions, "lower_bound_two_moments_simple", refuse)

@@ -15,8 +15,10 @@ import pytest
 
 from conftest import (
     brute_force_moments,
+    closed_form_lower_simple,
     closed_form_lower_three,
     closed_form_lower_two,
+    closed_form_upper_simple,
     closed_form_upper_three,
     closed_form_upper_two,
     exhaustive_index_search,
@@ -32,7 +34,6 @@ from unionbounds import (
     delta_decomposition,
     general_bound,
     holder_lower_bound,
-    inequality_tolerance,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -40,7 +41,7 @@ from unionbounds import (
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
-from unionbounds.bounds import TOLERANCE_ENV_VAR, VARIANTS
+from unionbounds.bounds import VARIANTS
 
 
 def make_moments(sbar, a=1, rho=1, n=3):
@@ -197,18 +198,6 @@ def test_moment_vector_validate():
         make_moments([1, Fraction(1, 2)], n=2).validate()  # s2 < s1
 
 
-def test_inequality_tolerance_sources(monkeypatch):
-    monkeypatch.delenv(TOLERANCE_ENV_VAR, raising=False)
-    assert inequality_tolerance() == 1e-9
-    assert inequality_tolerance(1e-6) == 1e-6
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "1e-3")
-    assert inequality_tolerance() == 1e-3
-    assert inequality_tolerance(1e-6) == 1e-6
-    monkeypatch.setenv(TOLERANCE_ENV_VAR, "bogus")
-    with pytest.raises(ValueError):
-        inequality_tolerance()
-
-
 # -------------------------------------------------------- two-moment bounds
 
 
@@ -223,14 +212,26 @@ def test_lower_two_worked_values():
     ) == Fraction(9, 10)
 
 
-def test_lower_two_zero_guard_and_errors():
-    assert lower_bound_two_moments(make_moments([0, 0])) == 0
-    with pytest.raises(MomentConsistencyError):
-        lower_bound_two_moments(make_moments([0, 1]))
-    with pytest.raises(MomentConsistencyError):
-        lower_bound_two_moments(make_moments([1, Fraction(1, 2)]))
-    with pytest.raises(MomentConsistencyError):
-        lower_bound_two_moments(make_moments([1, 4], n=3, rho=1))
+def test_two_moment_zero_guard_and_cone_errors():
+    # both bounds run the same cone checks, exact and float alike; the upper
+    # bound used to return -2, 7/6 and -1/3 on (1, 10), (1, 1/2) and (0, 1)
+    cases = [
+        ([0, 1], "s2 must vanish when s1 does", "1 > 0", "1.0 > 0.0"),
+        ([1, Fraction(1, 2)], "s2 >= s1", "1/2 < 1", "0.5 < 1.0"),
+        ([1, 4], "s2 <= n_support**rho * s1", "4 > 3", "4.0 > 3.0"),
+        ([1, 10], "s2 <= n_support**rho * s1", "10 > 3", "10.0 > 3.0"),
+    ]
+    for bound in (lower_bound_two_moments, upper_bound_two_moments):
+        assert bound(make_moments([0, 0], n=3)) == 0
+        for sbar, label, exact, inexact in cases:
+            for moments, detail in (
+                (make_moments(sbar, n=3), exact),
+                (make_moments([float(s) for s in sbar], n=3), inexact),
+            ):
+                with pytest.raises(
+                    MomentConsistencyError, match=re.escape(f"{label} ({detail})")
+                ):
+                    bound(moments)
 
 
 def test_lower_two_float_noise_is_clamped():
@@ -697,6 +698,45 @@ def test_simplified_variants_are_wide_when_applicable():
             assert float(loose_lower) <= float(refined_lower) + 1e-9
             loose_upper = upper_bound_three_moments(moments, variant)
             assert float(loose_upper) >= float(refined_upper) - 1e-9
+
+
+def _simplified_variants(a, rho) -> list[str]:
+    variants = ["rho_ge_1_simple"] if rho >= 1 else []
+    if a <= rho:
+        variants.append("a_le_rho")
+    if a >= rho:
+        variants.append("a_ge_rho")
+    return variants
+
+
+def test_simplified_variants_equal_their_closed_forms():
+    # the variants only move the points of the terms: exact at rho = 1,
+    # where delta is rational, and to 1e-12 on float moments and exponents
+    # (n >= 3 there: at n = 2 the float delta sits on an integer, which the
+    # library snaps and the oracle does not)
+    rng = random.Random(61)
+    checked = set()
+    for trial in range(240):
+        n = rng.randint(2 + trial % 2, 9)
+        if trial % 2:
+            a, rho = rng.choice(((1, 1), (2, 1), (3, 1), (1.5, 1.25), (0.7, 2.3)))
+            vector = [rng.uniform(0.05, 1.0) for _ in range(n)]
+        else:
+            a, rho = rng.choice((1, 2, 3)), 1
+            vector = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+        moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
+        for variant in _simplified_variants(a, rho):
+            for bound, oracle in (
+                (lower_bound_three_moments, closed_form_lower_simple),
+                (upper_bound_three_moments, closed_form_upper_simple),
+            ):
+                got, want = bound(moments, variant), oracle(moments, variant)
+                if moments.exact:
+                    assert type(got) is Fraction and got == want
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-12)
+                checked.add((variant, moments.exact))
+    assert len(checked) == 6
 
 
 # ------------------------------------------------------------ general engine

@@ -198,7 +198,7 @@ def test_compare_bounds_float_exponents(s2):
 
 
 def test_compare_bounds_survives_a_failing_bound(s2, monkeypatch):
-    def boom(moments, *, tolerance=None):
+    def boom(moments):
         raise MomentConsistencyError("synthetic failure")
 
     monkeypatch.setattr(unions_module, "lower_bound_two_moments_simple", boom)
@@ -240,7 +240,7 @@ def test_exact_rows_with_huge_denominators_stay_exact():
 
 
 def test_compare_bounds_lets_programming_errors_through(s2, monkeypatch):
-    def boom(moments, *, tolerance=None):
+    def boom(moments):
         raise TypeError("synthetic bug")
 
     monkeypatch.setattr(unions_module, "lower_bound_two_moments", boom)
@@ -315,7 +315,7 @@ def test_fixed_exponent_rows_run_once_per_system(monkeypatch):
     assert refined.count((1, 1)) == 6 + 1
 
 
-def test_row_values_are_kept_per_object_and_tolerance(monkeypatch):
+def test_row_values_are_kept_per_object(monkeypatch):
     simple = _logged(monkeypatch, "lower_bound_two_moments_simple")
     system = random_system(22, 4, 30, "sparse")
     report = compare_bounds(system)
@@ -327,10 +327,20 @@ def test_row_values_are_kept_per_object_and_tolerance(monkeypatch):
     copy = EventSystem(system.weights, system.events)  # equal, but a new object
     assert compare_bounds(copy) == report
     assert len(simple) == 2 * once
-    compare_bounds(system, tolerance=1e-6)
-    assert len(simple) == 3 * once
-    compare_bounds(system, tolerance=1e-6)
-    assert len(simple) == 3 * once
+
+
+def test_float_checks_read_no_environment_variable(monkeypatch):
+    # UNION_BOUNDS_TOL once set the float slack, and a bad value raised
+    reports = []
+    for value in (None, "1e-3", "bogus"):
+        if value is None:
+            monkeypatch.delenv("UNION_BOUNDS_TOL", raising=False)
+        else:
+            monkeypatch.setenv("UNION_BOUNDS_TOL", value)
+        system = random_system(23, 5, 40, "dense")  # a new object: no kept rows
+        reports.append(compare_bounds(system, 1.5, 1.25))
+    assert reports[0].entry("per_event_lower_two").arithmetic == "float"
+    assert reports[0].entries == reports[1].entries == reports[2].entries
 
 
 def test_equal_joint_rows_share_one_bound_call(monkeypatch):
