@@ -13,21 +13,17 @@ Arithmetic stays exact over the rationals whenever the inputs allow it.
 
 from .bounds import (
     VARIANTS,
-    WINDOW_PATTERNS,
     CertificateError,
-    DeltaDecomposition,
     ExponentParams,
     GeneralBoundOutcome,
     InfeasibleIndicesError,
     MomentConsistencyError,
     MomentVector,
-    delta_decomposition,
     general_bound,
     holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
-    select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "CertificateError",
-    "DeltaDecomposition",
     "EventSystem",
     "ExplicitSequence",
     "ExponentParams",
@@ -82,12 +77,10 @@ __all__ = [
     "OccupancyProfile",
     "PerEventMoments",
     "VARIANTS",
-    "WINDOW_PATTERNS",
     "bc_lower_estimate",
     "bc_upper_estimate",
     "build_system",
     "compare_bounds",
-    "delta_decomposition",
     "exact_union_probability",
     "general_bound",
     "holder_lower_bound",
@@ -101,7 +94,6 @@ __all__ = [
     "per_event_moments",
     "power_moments",
     "random_system",
-    "select_index_window",
     "union_bound",
     "upper_bound_three_moments",
     "upper_bound_two_moments",

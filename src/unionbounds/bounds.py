@@ -35,13 +35,12 @@ from ._numeric import (
     solve_linear,
 )
 
-INTEGER_SNAP = 1e-9
+_INTEGER_SNAP = 1e-9
 # Relative slack of every float inequality check, until outward rounding
 # certifies float results.
 _FLOAT_SLACK = 1e-9
 
 VARIANTS = ("refined", "a_le_rho", "a_ge_rho", "rho_ge_1_simple")
-WINDOW_PATTERNS = ("lower_ell2", "upper_ell2", "lower_ell3", "upper_ell3")
 
 
 class MomentConsistencyError(ValueError):
@@ -182,7 +181,7 @@ class MomentVector:
 
 
 @dataclass(frozen=True)
-class DeltaDecomposition:
+class _DeltaDecomposition:
     """Split of delta = (s_hi/s_lo)**(1/rho) into window coordinates.
 
     theta is the fractional part of delta; theta_refined is the exact-mass
@@ -261,9 +260,9 @@ def _require_ell(moments: MomentVector, ell: int) -> ExponentParams:
 _THETA_MAX = 1.0 - 1e-12
 
 
-def delta_decomposition(
+def _delta_decomposition(
     s_lo: Number, s_hi: Number, rho: Number
-) -> DeltaDecomposition:
+) -> _DeltaDecomposition:
     """Decompose the moment ratio into integer window and splitting weights.
 
     Returns delta = (s_hi/s_lo)**(1/rho) with its fractional part theta and
@@ -282,7 +281,7 @@ def delta_decomposition(
                 "inconsistent moments: zero low moment with non-zero high moment"
             )
         zero = _zero_like(s_lo, s_hi)
-        return DeltaDecomposition(zero, zero, zero, 0)
+        return _DeltaDecomposition(zero, zero, zero, 0)
     rho_int = integral_value(rho)
     if rho_int is not None and all_exact(s_lo, s_hi):
         ratio = Fraction(s_hi) / Fraction(s_lo)
@@ -292,26 +291,26 @@ def delta_decomposition(
         )
         if refined == 0:
             zero = Fraction(0)
-            return DeltaDecomposition(Fraction(base), zero, zero, base)
+            return _DeltaDecomposition(Fraction(base), zero, zero, base)
         root = nth_root_exact(ratio, rho_int)
         if root is not None:
-            return DeltaDecomposition(root, root - base, refined, base)
+            return _DeltaDecomposition(root, root - base, refined, base)
         delta = float(ratio) ** (1.0 / rho_int)
         theta = min(max(delta - base, 0.0), _THETA_MAX)
-        return DeltaDecomposition(base + theta, theta, refined, base)
+        return _DeltaDecomposition(base + theta, theta, refined, base)
     ratio = float(s_hi) / float(s_lo)
     rho_f = float(rho)
     delta = ratio ** (1.0 / rho_f)
     nearest = round(delta)
-    if abs(delta - nearest) < INTEGER_SNAP:
+    if abs(delta - nearest) < _INTEGER_SNAP:
         base = int(nearest)
-        return DeltaDecomposition(float(base), 0.0, 0.0, base)
+        return _DeltaDecomposition(float(base), 0.0, 0.0, base)
     base = int(delta)
     theta = min(max(delta - base, 0.0), _THETA_MAX)
     span = float(base + 1) ** rho_f - float(base) ** rho_f
     refined = (ratio - float(base) ** rho_f) / span
     refined = min(max(refined, 0.0), _THETA_MAX)
-    return DeltaDecomposition(delta, theta, refined, base)
+    return _DeltaDecomposition(delta, theta, refined, base)
 
 
 def _two_moment_window(moments: MomentVector) -> tuple[Number, Number] | None:
@@ -339,7 +338,7 @@ def lower_bound_two_moments(moments: MomentVector) -> Number:
     the bound is s1 * (theta_refined / (base+1)**a + (1-theta_refined) /
     base**a). Equality holds exactly when r is supported on {base, base+1}.
     On exact input it is that vector's total mass, solved in integers: the
-    mass on (b, b+1), or s1 / b**a when s2 = b**rho * s1.
+    mass on (b, b+1), or on (b,), which is s1 / b**a, when s2 = b**rho * s1.
     """
     params = _require_ell(moments, 2)
     if moments.exact:
@@ -348,14 +347,13 @@ def lower_bound_two_moments(moments: MomentVector) -> Number:
         if s1 == 0:
             return Fraction(0)
         b = floor_root(s2 // s1, rho)
-        if s2 == b**rho * s1:
-            return Fraction(s1, scale * b**a)
-        return _window_mass((b, b + 1), s1, s2, 0, scale, a, rho)
+        window = _index_window("lower", 2, b, params.n_support, s2 == b**rho * s1)
+        return _window_mass(window, s1, s2, 0, scale, a, rho)
     prepared = _two_moment_window(moments)
     if prepared is None:
         return _zero_like(*moments.sbar)
     s1, s2 = prepared
-    dd = delta_decomposition(s1, s2, params.rho)
+    dd = _delta_decomposition(s1, s2, params.rho)
     low = rpow(dd.base, params.a)
     if dd.theta_refined == 0:
         return s1 / low
@@ -386,7 +384,7 @@ def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     core = rpow(s1, e_hi) / rpow(s2, e_lo)
     if params.rho >= 1:
         return core
-    dd = delta_decomposition(s1, s2, params.rho)
+    dd = _delta_decomposition(s1, s2, params.rho)
     if dd.theta == 0:
         return core
     return core * (1 - dd.theta_refined) / (1 - dd.theta)
@@ -407,7 +405,8 @@ def upper_bound_two_moments(moments: MomentVector) -> Number:
         s1, s2, scale = _checked_two_integers(moments.sbar, rho, n)
         if n == 1:
             return moments.sbar[0]
-        return _window_mass((1, n), s1, s2, 0, scale, integral_value(params.a), rho)
+        window = _index_window("upper", 2, 0, n)
+        return _window_mass(window, s1, s2, 0, scale, integral_value(params.a), rho)
     _two_moment_window(moments)  # the checks only: the value reads the raw moments
     s1, s2 = moments.sbar
     if n == 1:
@@ -436,17 +435,35 @@ def _integer_moments(sbar: Sequence[Number]) -> list[int]:
     return scaled
 
 
+def _index_window(
+    kind: str, ell: int, b: int, n: int, on_point: bool = False
+) -> tuple[int, ...]:
+    """Support of the vector attaining the refined ``kind`` bound from ell
+    moments: (b, b+1), (1, n) (b unused), (b, b+1, n) or (1, b, b+1); b+1
+    drops out on a point (ratio b**rho). Plain branches: unpacking is slower."""
+    if ell == 2:
+        if kind == "upper":
+            return (1, n)
+        return (b,) if on_point else (b, b + 1)
+    if kind == "lower":
+        return (b, n) if on_point else (b, b + 1, n)
+    return (1, b) if on_point else (1, b, b + 1)
+
+
 def _window_mass(
     window: tuple[int, ...], s1: int, s2: int, s3: int, scale: int, a: int, rho: int
 ) -> Fraction:
     """sum(r) for the vector r supported on ``window`` whose first
     len(window) moments are s1/scale, s2/scale, s3/scale (integers s_k).
 
-    With w_i = i**a, u_i = w_i * r_i and x_i = i**rho the moments are
+    One point i carries r_i = s1 / (scale * i**a). Otherwise, with
+    w_i = i**a, u_i = w_i * r_i and x_i = i**rho the moments are
     sum_i u_i * x_i**k: a 2- or 3-point Vandermonde system in x, which
     Lagrange's formula solves over the common denominator V, the product of
     the differences of the x. Then sum(r) = sum_i u_i / w_i.
     """
+    if len(window) == 1:
+        return Fraction(s1, scale * window[0] ** a)
     if len(window) == 2:  # V = y - x
         i, j = window
         x, y, wi, wj = i**rho, j**rho, i**a, j**a
@@ -493,10 +510,9 @@ def _checked_two_integers(sbar: Sequence[Number], rho: int, n: int) -> list[int]
 def _lower_three_exact(
     sbar: Sequence[Number], a: int, rho: int, n: int
 ) -> Fraction:
-    """The refined three-moment lower bound on rational moments: the mass of
-    the vector on (b, b+1, n), or on (b, n) when d2 = b**rho * d1, where
-    b = floor((d2/d1)**(1/rho)), d1 = n**rho * s1 - s2 and
-    d2 = n**rho * s2 - s3. The checks are the closed form's, run on the
+    """The refined three-moment lower bound on rational moments: the mass on
+    ``_index_window`` at b = floor((d2/d1)**(1/rho)), d1 = n**rho * s1 - s2
+    and d2 = n**rho * s2 - s3. The checks are the closed form's, run on the
     integers."""
     s1, s2, s3, scale = _integer_moments(sbar)
     top = n**rho
@@ -515,17 +531,16 @@ def _lower_three_exact(
         label = "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)"
         raise _scaled_inconsistent(label, scale, d2, ">", limit)
     b = floor_root(d2 // d1, rho)
-    window = (b, n) if d2 == b**rho * d1 else (b, b + 1, n)
+    window = _index_window("lower", 3, b, n, d2 == b**rho * d1)
     return _window_mass(window, s1, s2, s3, scale, a, rho)
 
 
 def _upper_three_exact(
     sbar: Sequence[Number], a: int, rho: int, n: int
 ) -> Number:
-    """The refined three-moment upper bound on rational moments: the mass of
-    the vector on (1, b, b+1), or on (1, b) when d2 = b**rho * d1, where
-    b = floor((d2/d1)**(1/rho)), d1 = s2 - s1 and d2 = s3 - s2. The checks
-    are the closed form's, run on the integers."""
+    """The refined three-moment upper bound on rational moments: the mass on
+    ``_index_window`` at b = floor((d2/d1)**(1/rho)), d1 = s2 - s1 and
+    d2 = s3 - s2. The checks are the closed form's, run on the integers."""
     s1, s2, s3, scale = _integer_moments(sbar)
     d1, d2 = s2 - s1, s3 - s2
     if d1 < 0:
@@ -543,7 +558,7 @@ def _upper_three_exact(
         label = "(s3 - s2) <= n**rho * (s2 - s1)"
         raise _scaled_inconsistent(label, scale, d2, ">", limit)
     b = floor_root(d2 // d1, rho)  # b >= 2 after the checks
-    window = (1, b) if d2 == b**rho * d1 else (1, b, b + 1)
+    window = _index_window("upper", 3, b, n, d2 == b**rho * d1)
     return _window_mass(window, s1, s2, s3, scale, a, rho)
 
 
@@ -553,7 +568,12 @@ _POINT_OFFSETS = {"refined": (0, 1), "a_le_rho": (0, 1), "a_ge_rho": (-1, 0)}
 
 
 def _window_origin(
-    dd: DeltaDecomposition, d1: Number, d2: Number, a: Number, rho: Number, variant: str
+    dd: _DeltaDecomposition,
+    d1: Number,
+    d2: Number,
+    a: Number,
+    rho: Number,
+    variant: str,
 ) -> tuple:
     """(x, a, rho, x**a, x**rho) at the origin x of the variant's points.
 
@@ -630,10 +650,12 @@ def lower_bound_three_moments(
         rpow(n - 1, rho) * d1,
         "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)",
     )
-    dd = delta_decomposition(d1, d2, rho)
+    dd = _delta_decomposition(d1, d2, rho)
     b, tbar = dd.base, dd.theta_refined
     tail = s1 / n_a
     win, top = _window_origin(dd, d1, d2, a, rho, variant), (n_a, n_rho)
+    if n == 1:  # the only vector is r_1 = s1
+        return s1
     if variant == "rho_ge_1_simple":
         d_a = win[3]
         if a == rho:  # the term's power ratio is exactly one
@@ -694,9 +716,11 @@ def upper_bound_three_moments(
         return s1
     d2 = _check_lower(d2, rpow(2, rho) * d1, "(s3 - s2) >= 2**rho * (s2 - s1)")
     d2 = _check_upper(d2, rpow(n, rho) * d1, "(s3 - s2) <= n**rho * (s2 - s1)")
-    dd = delta_decomposition(d1, d2, rho)
-    b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks
+    dd = _delta_decomposition(d1, d2, rho)
+    b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks, if n > 1
     win = _window_origin(dd, d1, d2, a, rho, variant)
+    if n == 1:  # the only vector is r_1 = s1
+        return s1
     if variant == "rho_ge_1_simple":
         return s1 - _upper_term(d1, 1, win[3], win, 0 if a < rho else -1)
     lo, hi = _POINT_OFFSETS[variant]
@@ -795,43 +819,3 @@ def general_bound(
     return GeneralBoundOutcome(
         bound, direction, idx, tuple(coeff), tuple(certificate), solution
     )
-
-
-def select_index_window(
-    delta: DeltaDecomposition | Number, pattern: str, n_support: int
-) -> tuple[int, ...]:
-    """Index window realizing a closed-form bound.
-
-    ``delta`` is the decomposition (or bare ratio root) driving the window:
-    m = 1 + floor(delta), capped to the feasible range; an exactly integer
-    delta selects the window just above it.
-    """
-    if isinstance(delta, DeltaDecomposition):
-        base = delta.base
-    else:
-        d = float(delta)
-        if d < 0:
-            raise ValueError("delta must be non-negative")
-        nearest = round(d)
-        base = int(nearest) if abs(d - nearest) < INTEGER_SNAP else int(d)
-    n = n_support
-    if pattern == "lower_ell2":
-        if n < 2:
-            raise ValueError("pattern 'lower_ell2' needs n_support >= 2")
-        m = min(max(1 + base, 2), n)
-        return (m - 1, m)
-    if pattern == "upper_ell2":
-        if n < 2:
-            raise ValueError("pattern 'upper_ell2' needs n_support >= 2")
-        return (1, n)
-    if pattern == "lower_ell3":
-        if n < 3:
-            raise ValueError("pattern 'lower_ell3' needs n_support >= 3")
-        m = min(max(1 + base, 2), n - 1)
-        return (m - 1, m, n)
-    if pattern == "upper_ell3":
-        if n < 3:
-            raise ValueError("pattern 'upper_ell3' needs n_support >= 3")
-        m = min(max(1 + base, 3), n)
-        return (1, m - 1, m)
-    raise ValueError(f"unknown pattern {pattern!r}; expected one of {WINDOW_PATTERNS}")

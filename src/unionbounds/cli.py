@@ -23,12 +23,11 @@ from typing import Sequence
 
 from ._numeric import Number, is_exact
 from .bounds import (
-    WINDOW_PATTERNS,
     ExponentParams,
     MomentVector,
+    _index_window,
     lower_bound_three_moments,
     lower_bound_two_moments,
-    select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
@@ -361,26 +360,26 @@ def reference_system(name: str) -> EventSystem:
     raise ValueError(f"unknown reference system {name!r}")
 
 
-# pattern -> (bound, smallest n, range of m as (low, offset from n) or None)
+# (kind, ell) -> (bound, smallest n, range of b as (low, offset from n) or None)
 _SHARPNESS_CASES = {
-    "lower_ell2": (lower_bound_two_moments, 2, (2, 0)),
-    "upper_ell2": (upper_bound_two_moments, 2, None),
-    "lower_ell3": (lower_bound_three_moments, 3, (2, -1)),
-    "upper_ell3": (upper_bound_three_moments, 3, (3, 0)),
+    ("lower", 2): (lower_bound_two_moments, 2, (1, -1)),
+    ("upper", 2): (upper_bound_two_moments, 2, None),
+    ("lower", 3): (lower_bound_three_moments, 3, (1, -2)),
+    ("upper", 3): (upper_bound_three_moments, 3, (2, -1)),
 }
 
 
 def _sharpness_trial(rng: random.Random) -> str | None:
     """One sharpness case: a vector supported on a bound's own index window
-    (from ``select_index_window`` at delta = m - 1) must achieve the bound
-    exactly. Returns an error string on failure."""
+    (``bounds._index_window`` at a drawn b) must achieve the bound exactly.
+    Returns an error string on failure."""
     a = rng.choice((1, 2))
     rho = rng.choice((1, 2))
-    pattern = rng.choice(WINDOW_PATTERNS)
-    bound, smallest, m_range = _SHARPNESS_CASES[pattern]
+    kind, ell = rng.choice(tuple(_SHARPNESS_CASES))
+    bound, smallest, b_range = _SHARPNESS_CASES[kind, ell]
     n = rng.randint(smallest, 9)
-    m = 1 if m_range is None else rng.randint(m_range[0], n + m_range[1])
-    window = select_index_window(m - 1, pattern, n)
+    b = 0 if b_range is None else rng.randint(b_range[0], n + b_range[1])
+    window = _index_window(kind, ell, b, n)
     vector = [Fraction(0)] * n
     for index in window:
         vector[index - 1] = Fraction(rng.randint(0, 8), rng.randint(1, 9))
@@ -388,7 +387,7 @@ def _sharpness_trial(rng: random.Random) -> str | None:
     got, total = bound(MomentVector.from_vector(vector, params)), sum(vector)
     if got != total:
         return (
-            f"{pattern} a={a} rho={rho} n={n} window={window}: "
+            f"{kind} ell={ell} a={a} rho={rho} n={n} window={window}: "
             f"bound {got} != exact sum {total}"
         )
     return None

@@ -26,22 +26,24 @@ from conftest import (
 )
 from unionbounds import (
     CertificateError,
-    DeltaDecomposition,
     ExponentParams,
     InfeasibleIndicesError,
     MomentConsistencyError,
     MomentVector,
-    delta_decomposition,
     general_bound,
     holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
-    select_index_window,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
-from unionbounds.bounds import VARIANTS
+from unionbounds.bounds import (
+    VARIANTS,
+    _DeltaDecomposition,
+    _delta_decomposition,
+    _index_window,
+)
 
 
 def make_moments(sbar, a=1, rho=1, n=3):
@@ -56,12 +58,12 @@ def random_vector(rng, n):
 
 
 def test_delta_decomposition_rational_rho_one():
-    dd = delta_decomposition(Fraction(2), Fraction(5), 1)
-    assert dd == DeltaDecomposition(Fraction(5, 2), Fraction(1, 2), Fraction(1, 2), 2)
+    dd = _delta_decomposition(Fraction(2), Fraction(5), 1)
+    assert dd == _DeltaDecomposition(Fraction(5, 2), Fraction(1, 2), Fraction(1, 2), 2)
 
 
 def test_delta_decomposition_irrational_root_keeps_refined_exact():
-    dd = delta_decomposition(Fraction(1), Fraction(5), 2)
+    dd = _delta_decomposition(Fraction(1), Fraction(5), 2)
     assert dd.base == 2  # 4 <= 5 < 9
     assert dd.theta_refined == Fraction(1, 5)
     assert isinstance(dd.delta, float)
@@ -70,7 +72,7 @@ def test_delta_decomposition_irrational_root_keeps_refined_exact():
 
 
 def test_delta_decomposition_perfect_rational_root():
-    dd = delta_decomposition(Fraction(4), Fraction(25), 2)
+    dd = _delta_decomposition(Fraction(4), Fraction(25), 2)
     assert dd.delta == Fraction(5, 2)
     assert dd.theta == Fraction(1, 2)
     assert dd.theta_refined == (Fraction(25, 4) - 4) / (9 - 4)
@@ -78,12 +80,12 @@ def test_delta_decomposition_perfect_rational_root():
 
 
 def test_delta_decomposition_integer_ratio():
-    dd = delta_decomposition(Fraction(1, 3), Fraction(4, 3), 2)
-    assert dd == DeltaDecomposition(Fraction(2), Fraction(0), Fraction(0), 2)
+    dd = _delta_decomposition(Fraction(1, 3), Fraction(4, 3), 2)
+    assert dd == _DeltaDecomposition(Fraction(2), Fraction(0), Fraction(0), 2)
 
 
 def test_delta_decomposition_float_snaps_near_integers():
-    dd = delta_decomposition(1.0, 8.0 * (1 + 1e-13), 3)
+    dd = _delta_decomposition(1.0, 8.0 * (1 + 1e-13), 3)
     assert dd.base == 2
     assert dd.theta == 0.0
     assert dd.theta_refined == 0.0
@@ -91,24 +93,24 @@ def test_delta_decomposition_float_snaps_near_integers():
 
 
 def test_delta_decomposition_float_general():
-    dd = delta_decomposition(1.0, 2.0, 1)
+    dd = _delta_decomposition(1.0, 2.0, 1)
     assert dd.delta == 2.0  # snapped integer
-    dd = delta_decomposition(1.0, 2.5, 1)
+    dd = _delta_decomposition(1.0, 2.5, 1)
     assert dd.base == 2
     assert dd.theta == pytest.approx(0.5)
     assert dd.theta_refined == pytest.approx(0.5)
 
 
 def test_delta_decomposition_zero_and_errors():
-    dd = delta_decomposition(Fraction(0), Fraction(0), 2)
-    assert dd == DeltaDecomposition(Fraction(0), Fraction(0), Fraction(0), 0)
-    assert delta_decomposition(0.0, 0, 1).delta == 0.0
+    dd = _delta_decomposition(Fraction(0), Fraction(0), 2)
+    assert dd == _DeltaDecomposition(Fraction(0), Fraction(0), Fraction(0), 0)
+    assert _delta_decomposition(0.0, 0, 1).delta == 0.0
     with pytest.raises(MomentConsistencyError):
-        delta_decomposition(0, 1, 1)
+        _delta_decomposition(0, 1, 1)
     with pytest.raises(ValueError):
-        delta_decomposition(1, 1, 0)
+        _delta_decomposition(1, 1, 0)
     with pytest.raises(ValueError):
-        delta_decomposition(-1, 1, 1)
+        _delta_decomposition(-1, 1, 1)
 
 
 def test_delta_decomposition_invariants_seeded():
@@ -117,7 +119,7 @@ def test_delta_decomposition_invariants_seeded():
         s_lo = Fraction(rng.randint(1, 50), rng.randint(1, 9))
         ratio = Fraction(rng.randint(100, 900), 100)
         rho = rng.choice((1, 2, 3))
-        dd = delta_decomposition(s_lo, s_lo * ratio, rho)
+        dd = _delta_decomposition(s_lo, s_lo * ratio, rho)
         assert 0 <= dd.theta < 1
         assert 0 <= dd.theta_refined < 1
         assert dd.base == int(dd.delta) or dd.theta == 0
@@ -531,6 +533,30 @@ def test_three_moment_cone_errors():
         upper_bound_three_moments(make_moments([1, 2, Fraction(5, 2)], n=3))
 
 
+def test_float_three_moment_bounds_at_one_support_point():
+    # n = 1: inside the float slack the only vector is r_1 = s1; outside it
+    # the cone checks still raise
+    upper = MomentVector(
+        (1.1666666666666667, 1.1666666667833334, Fraction(7, 6)),
+        ExponentParams(2.5, 1.25, 3, 1),
+    )
+    lower = MomentVector(
+        (Fraction(8, 7), 1.1428571428457142, Fraction(8, 7)),
+        ExponentParams(3, 3, 3, 1),
+    )
+    for variant in ("refined", "a_ge_rho", "rho_ge_1_simple"):
+        assert upper_bound_three_moments(upper, variant) == upper.sbar[0]
+    with pytest.raises(ValueError, match="requires a <= rho"):
+        upper_bound_three_moments(upper, "a_le_rho")
+    for variant in VARIANTS:
+        assert lower_bound_three_moments(lower, variant) == lower.sbar[0]
+    params = ExponentParams(2.5, 1.25, 3, 1)
+    with pytest.raises(MomentConsistencyError, match=re.escape("2**rho")):
+        upper_bound_three_moments(MomentVector((1.0, 1.5, 1.5), params))
+    with pytest.raises(MomentConsistencyError, match=re.escape(">= (n**rho*s1")):
+        lower_bound_three_moments(MomentVector((1.0, 0.5, 0.5), params))
+
+
 def test_exact_three_moment_bounds_equal_the_closed_forms():
     # window masses in integers == the closed forms in Fractions, in value,
     # type and error text, on genuine and on arbitrary (mostly inconsistent)
@@ -754,12 +780,13 @@ def test_general_bound_matches_closed_forms_on_their_windows():
         moments = MomentVector.from_vector(values, params2)
         features = power_feature_matrix(params2)
         s1, s2 = moments.sbar
-        dd = delta_decomposition(s1, s2, rho)
-        window = select_index_window(dd, "lower_ell2", n)
+        # general_bound needs ell points in 1..n, so b is clamped to keep them
+        b = min(max(_delta_decomposition(s1, s2, rho).base, 1), n - 1)
+        window = _index_window("lower", 2, b, n)
         outcome = general_bound(features, moments.sbar, window, "lower")
         assert outcome.bound_value == lower_bound_two_moments(moments)
         outcome = general_bound(
-            features, moments.sbar, select_index_window(dd, "upper_ell2", n), "upper"
+            features, moments.sbar, _index_window("upper", 2, b, n), "upper"
         )
         assert outcome.bound_value == upper_bound_two_moments(moments)
         if n >= 3:
@@ -770,15 +797,15 @@ def test_general_bound_matches_closed_forms_on_their_windows():
             d1 = n_rho * moments3.sbar[0] - moments3.sbar[1]
             d2 = n_rho * moments3.sbar[1] - moments3.sbar[2]
             if d1 > 0:
-                dd3 = delta_decomposition(d1, d2, rho)
-                window3 = select_index_window(dd3, "lower_ell3", n)
+                b = min(max(_delta_decomposition(d1, d2, rho).base, 1), n - 2)
+                window3 = _index_window("lower", 3, b, n)
                 outcome = general_bound(features3, moments3.sbar, window3, "lower")
                 assert outcome.bound_value == lower_bound_three_moments(moments3)
             h1 = moments3.sbar[1] - moments3.sbar[0]
             h2 = moments3.sbar[2] - moments3.sbar[1]
             if h1 > 0:
-                dd3 = delta_decomposition(h1, h2, rho)
-                window3 = select_index_window(dd3, "upper_ell3", n)
+                b = min(max(_delta_decomposition(h1, h2, rho).base, 2), n - 1)
+                window3 = _index_window("upper", 3, b, n)
                 outcome = general_bound(features3, moments3.sbar, window3, "upper")
                 assert outcome.bound_value == upper_bound_three_moments(moments3)
 
@@ -880,27 +907,14 @@ def test_upper_three_simple_variants_valid_at_delta_two():
 # --------------------------------------------------------- window selection
 
 
-def test_select_index_window_patterns():
-    assert select_index_window(Fraction(5, 3), "lower_ell3", 3) == (1, 2, 3)
-    assert select_index_window(Fraction(5, 2), "lower_ell2", 5) == (2, 3)
-    assert select_index_window(0.0, "lower_ell2", 5) == (1, 2)
-    assert select_index_window(7.2, "lower_ell2", 5) == (4, 5)
-    assert select_index_window(Fraction(9), "upper_ell2", 4) == (1, 4)
-    assert select_index_window(2.0, "upper_ell3", 6) == (1, 2, 3)
-    assert select_index_window(5.9, "upper_ell3", 4) == (1, 3, 4)
-    dd = delta_decomposition(Fraction(1), Fraction(5, 2), 1)
-    assert select_index_window(dd, "lower_ell2", 9) == (2, 3)
-
-
-def test_select_index_window_errors():
-    with pytest.raises(ValueError):
-        select_index_window(1.0, "lower_ell2", 1)
-    with pytest.raises(ValueError):
-        select_index_window(1.0, "lower_ell3", 2)
-    with pytest.raises(ValueError):
-        select_index_window(-0.5, "lower_ell2", 4)
-    with pytest.raises(ValueError):
-        select_index_window(1.0, "bogus", 4)
+def test_index_window_shapes():
+    assert _index_window("lower", 2, 3, 9) == (3, 4)
+    assert _index_window("lower", 2, 3, 9, on_point=True) == (3,)
+    assert _index_window("upper", 2, 3, 9) == (1, 9)
+    assert _index_window("lower", 3, 3, 9) == (3, 4, 9)
+    assert _index_window("lower", 3, 3, 9, on_point=True) == (3, 9)
+    assert _index_window("upper", 3, 3, 9) == (1, 3, 4)
+    assert _index_window("upper", 3, 3, 9, on_point=True) == (1, 3)
 
 
 # ------------------------------------------------------------------- holder
