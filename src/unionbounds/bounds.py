@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from ._numeric import (
@@ -128,6 +129,13 @@ class MomentVector:
     def exact(self) -> bool:
         return self.params.is_integral and all_exact(*self.sbar)
 
+    @cached_property
+    def _integers(self) -> Sequence[int]:
+        """Exact moments as integers over their least common denominator L:
+        [S1, ..., S_ell, L]."""
+        scale = math.lcm(*(s.denominator for s in self.sbar))
+        return [s.numerator * (scale // s.denominator) for s in self.sbar] + [scale]
+
     @classmethod
     def from_vector(
         cls, r: Sequence[Number], params: ExponentParams
@@ -178,6 +186,24 @@ class MomentVector:
                     "(s3 - s2) >= 2**rho * (s2 - s1)",
                 )
         return self
+
+
+class _ScaledMoments(MomentVector):
+    """Moments S_1/D, ..., S_ell/D at integral a and rho, held as the
+    integers (S_1, ..., S_ell, D), of a vector non-negative by construction
+    (a report row's). They skip the checks of ``MomentVector``: the exact
+    kernels run their cone checks on the integers, and sbar is built only
+    for a closed form that reads it."""
+
+    exact = True
+
+    def __init__(self, integers: tuple[int, ...], params: ExponentParams) -> None:
+        self.__dict__.update(_integers=integers, params=params)
+
+    @cached_property
+    def sbar(self) -> tuple[Fraction, ...]:  # type: ignore[override]
+        *sums, denominator = self._integers
+        return tuple(Fraction(s, denominator) for s in sums)
 
 
 @dataclass(frozen=True)
@@ -343,7 +369,7 @@ def lower_bound_two_moments(moments: MomentVector) -> Number:
     params = _require_ell(moments, 2)
     if moments.exact:
         a, rho = integral_value(params.a), integral_value(params.rho)
-        s1, s2, scale = _checked_two_integers(moments.sbar, rho, params.n_support)
+        s1, s2, scale = _checked_two_integers(moments._integers, rho, params.n_support)
         if s1 == 0:
             return Fraction(0)
         b = floor_root(s2 // s1, rho)
@@ -402,9 +428,9 @@ def upper_bound_two_moments(moments: MomentVector) -> Number:
     n = params.n_support
     if moments.exact:
         rho = integral_value(params.rho)
-        s1, s2, scale = _checked_two_integers(moments.sbar, rho, n)
+        s1, s2, scale = _checked_two_integers(moments._integers, rho, n)
         if n == 1:
-            return moments.sbar[0]
+            return Fraction(s1, scale)
         window = _index_window("upper", 2, 0, n)
         return _window_mass(window, s1, s2, 0, scale, integral_value(params.a), rho)
     _two_moment_window(moments)  # the checks only: the value reads the raw moments
@@ -416,23 +442,17 @@ def upper_bound_two_moments(moments: MomentVector) -> Number:
     return ((nar - 1) * s1 - (na - 1) * s2) / (nar - na)
 
 
-def _require_variant(variant: str) -> None:
+def _require_variant(variant: str, a: Number, rho: Number) -> None:
+    """Reject an unknown variant, or a simplified one whose exponent
+    condition fails, before any moment is read."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def _integer_moments(sbar: Sequence[Number]) -> list[int]:
-    """Rational moments as integers over their least common denominator L:
-    [S1, ..., S_ell, L]. Plain loops: generators cost more than the
-    arithmetic at these lengths."""
-    scale = 1
-    for s in sbar:
-        scale = math.lcm(scale, s.denominator)
-    scaled = []
-    for s in sbar:
-        scaled.append(s.numerator * (scale // s.denominator))
-    scaled.append(scale)
-    return scaled
+    if variant == "a_le_rho" and not a <= rho:
+        raise ValueError("variant 'a_le_rho' requires a <= rho")
+    if variant == "a_ge_rho" and not a >= rho:
+        raise ValueError("variant 'a_ge_rho' requires a >= rho")
+    if variant == "rho_ge_1_simple" and not rho >= 1:
+        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
 
 
 def _index_window(
@@ -491,10 +511,10 @@ def _scaled_inconsistent(
     )
 
 
-def _checked_two_integers(sbar: Sequence[Number], rho: int, n: int) -> list[int]:
-    """[S1, S2, L] of ``_integer_moments`` after the two-moment cone checks
-    of ``_two_moment_window``, run on the integers with the same texts."""
-    s1, s2, scale = checked = _integer_moments(sbar)
+def _checked_two_integers(scaled: Sequence[int], rho: int, n: int) -> Sequence[int]:
+    """``scaled`` = [S1, S2, D] after the two-moment cone checks of
+    ``_two_moment_window``, run on the integers with the same texts."""
+    s1, s2, scale = checked = scaled
     if s1 == 0:
         if s2 > 0:
             raise _scaled_inconsistent("s2 must vanish when s1 does", scale, s2, ">")
@@ -507,14 +527,12 @@ def _checked_two_integers(sbar: Sequence[Number], rho: int, n: int) -> list[int]
     return checked
 
 
-def _lower_three_exact(
-    sbar: Sequence[Number], a: int, rho: int, n: int
-) -> Fraction:
-    """The refined three-moment lower bound on rational moments: the mass on
-    ``_index_window`` at b = floor((d2/d1)**(1/rho)), d1 = n**rho * s1 - s2
-    and d2 = n**rho * s2 - s3. The checks are the closed form's, run on the
-    integers."""
-    s1, s2, s3, scale = _integer_moments(sbar)
+def _lower_three_exact(scaled: Sequence[int], a: int, rho: int, n: int) -> Fraction:
+    """The refined three-moment lower bound on ``scaled`` = (S1, S2, S3, D):
+    the mass on ``_index_window`` at b = floor((d2/d1)**(1/rho)), with
+    d1 = n**rho * s1 - s2 and d2 = n**rho * s2 - s3. The checks are the
+    closed form's, run on the integers."""
+    s1, s2, s3, scale = scaled
     top = n**rho
     d1, d2 = top * s1 - s2, top * s2 - s3
     if d1 < 0:
@@ -535,20 +553,19 @@ def _lower_three_exact(
     return _window_mass(window, s1, s2, s3, scale, a, rho)
 
 
-def _upper_three_exact(
-    sbar: Sequence[Number], a: int, rho: int, n: int
-) -> Number:
-    """The refined three-moment upper bound on rational moments: the mass on
-    ``_index_window`` at b = floor((d2/d1)**(1/rho)), d1 = s2 - s1 and
-    d2 = s3 - s2. The checks are the closed form's, run on the integers."""
-    s1, s2, s3, scale = _integer_moments(sbar)
+def _upper_three_exact(scaled: Sequence[int], a: int, rho: int, n: int) -> Fraction:
+    """The refined three-moment upper bound on ``scaled`` = (S1, S2, S3, D):
+    the mass on ``_index_window`` at b = floor((d2/d1)**(1/rho)), with
+    d1 = s2 - s1 and d2 = s3 - s2. The checks are the closed form's, run on
+    the integers."""
+    s1, s2, s3, scale = scaled
     d1, d2 = s2 - s1, s3 - s2
     if d1 < 0:
         raise _scaled_inconsistent("s2 - s1 must be non-negative", scale, d1)
     if d2 < 0:
         raise _scaled_inconsistent("s3 - s2 must be non-negative", scale, d2)
     if d1 == 0:
-        return sbar[0]
+        return Fraction(s1, scale)
     limit = 2**rho * d1
     if d2 < limit:
         label = "(s3 - s2) >= 2**rho * (s2 - s1)"
@@ -578,18 +595,12 @@ def _window_origin(
     """(x, a, rho, x**a, x**rho) at the origin x of the variant's points.
 
     A simplified variant has x = delta, with delta**rho = d2/d1 exact
-    whenever the inputs are; its exponent condition is checked here."""
+    whenever the inputs are."""
     if variant == "refined":
         b = dd.base
         return b, a, rho, rpow(b, a), rpow(b, rho)
     delta, d_rho = dd.delta, d2 / d1
     d_a = d_rho if a == rho else rpow(delta, a)
-    if variant == "a_le_rho" and not a <= rho:
-        raise ValueError("variant 'a_le_rho' requires a <= rho")
-    if variant == "a_ge_rho" and not a >= rho:
-        raise ValueError("variant 'a_ge_rho' requires a >= rho")
-    if variant == "rho_ge_1_simple" and not rho >= 1:
-        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
     return delta, a, rho, d_a, d_rho
 
 
@@ -627,11 +638,11 @@ def lower_bound_three_moments(
     takes one term of weight one, at delta when a < rho, else at delta-1.
     """
     params = _require_ell(moments, 3)
-    _require_variant(variant)
     a, rho, n = params.a, params.rho, params.n_support
+    _require_variant(variant, a, rho)
     if variant == "refined" and moments.exact:
         return _lower_three_exact(
-            moments.sbar, integral_value(a), integral_value(rho), n
+            moments._integers, integral_value(a), integral_value(rho), n
         )
     s1, s2, s3 = moments.sbar
     n_rho = rpow(n, rho)
@@ -703,11 +714,11 @@ def upper_bound_three_moments(
     integers (``_upper_three_exact``).
     """
     params = _require_ell(moments, 3)
-    _require_variant(variant)
     a, rho, n = params.a, params.rho, params.n_support
+    _require_variant(variant, a, rho)
     if variant == "refined" and moments.exact:
         return _upper_three_exact(
-            moments.sbar, integral_value(a), integral_value(rho), n
+            moments._integers, integral_value(a), integral_value(rho), n
         )
     s1, s2, s3 = moments.sbar
     d1 = _check_nonneg(s2 - s1, "s2 - s1 must be non-negative", s2)

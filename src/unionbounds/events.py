@@ -198,35 +198,53 @@ class PerEventMoments:
 
     sbar[j][k] = sum_i i**(a + j*rho - 1) * P(xi = i, A_k), the j+1-th power
     moment of the vector r_i(k) = P(xi = i, A_k) / i whose total recovers the
-    union probability when summed over k.
+    union probability when summed over k. _sums[j][k] is its integer sum
+    over the joint table's denominator at integral a and rho (sbar builds the
+    Fractions on first read), and the float itself otherwise (_denominator
+    None).
     """
 
     a: Number
     rho: Number
     n_events: int
-    sbar: tuple[tuple[Number, ...], ...]
+    _sums: tuple[tuple[Number, ...], ...]
+    _denominator: int | None
+
+    @cached_property
+    def sbar(self) -> tuple[tuple[Number, ...], ...]:
+        denominator = self._denominator
+        if denominator is None:
+            return self._sums
+        return tuple(tuple(Fraction(s, denominator) for s in row) for row in self._sums)
 
 
 def per_event_moments(
     system: EventSystem, a: Number = 1, rho: Number = 1, ell: int = 3
 ) -> PerEventMoments:
-    """Compute sbar_j(k) for every event, exactly when a and rho are integers."""
+    """Compute sbar_j(k) for every event, exactly when a and rho are integers:
+    then as integer sums over the joint table's denominator, no division."""
     if ell < 2:
         raise ValueError("ell must be at least 2")
     n = system.n_events
     denominator, _, table = system.joint_table
-    exact = integral_value(a) is not None and integral_value(rho) is not None
-    zero: Number = Fraction(0) if exact else 0.0
-    sbar = []
+    if integral_value(a) is not None and integral_value(rho) is not None:
+        # one pass over the table: level i adds v * i**(a-1) * (i**rho)**j
+        base = [0] + [rpow(i, a - 1) for i in range(1, n + 1)]
+        step = [0] + [rpow(i, rho) for i in range(1, n + 1)]
+        sums = [[0] * n for _ in range(ell)]
+        for k, row in enumerate(table):
+            for i, v in row:
+                term, x = base[i] * v, step[i]
+                for total in sums:
+                    total[k] += term
+                    term *= x
+        return PerEventMoments(a, rho, n, tuple(map(tuple, sums)), denominator)
+    floats = []
     for j in range(ell):
-        powers = [zero] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]
-        if exact:  # integer numerators, one division per event
-            sums = (sum(powers[i] * v for i, v in row) for row in table)
-            sbar.append(tuple(Fraction(total, denominator) for total in sums))
-        else:
-            sums = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
-            sbar.append(tuple(float(total) for total in sums))
-    return PerEventMoments(a, rho, n, tuple(sbar))
+        powers = [0.0] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]
+        totals = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
+        floats.append(tuple(float(total) for total in totals))
+    return PerEventMoments(a, rho, n, tuple(floats), None)
 
 
 def random_system(

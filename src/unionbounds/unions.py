@@ -23,6 +23,7 @@ from .bounds import (
     ExponentParams,
     MomentVector,
     _FLOAT_SLACK,
+    _ScaledMoments,
     holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
@@ -118,9 +119,12 @@ def _moment_vectors(
 
     The occupancy statistic has one vector, under the key None. The
     per-event statistic has one key per event of positive probability, its
-    integer joint row, so events with equal rows share one vector. The ell = 3
-    moments are computed once per (statistic, a, rho) and kept in ``cache``;
-    ell = 2 takes their prefix.
+    moments (S1, S2, S3), so events with equal moments share one vector and
+    one scalar-bound call even when their joint rows differ. At integral a
+    and rho they are integer sums over the joint table's denominator D, and
+    a vector reaches the bounds as (S1, ..., S_ell, D): no Fraction, no
+    repeated check. The ell = 3 moments are computed once per
+    (statistic, a, rho) and kept in ``cache``; ell = 2 takes their prefix.
     """
     key = (statistic, a, rho, ell)
     if key not in cache:
@@ -128,16 +132,19 @@ def _moment_vectors(
         moments = cache.get((statistic, a, rho))
         if moments is None:
             if statistic == "occupancy":
-                pairs = [(None, occupancy_moment_vector(system, a, rho, 3).sbar)]
-            else:  # pair rows with columns before dropping zero-mass events
-                sbar = per_event_moments(system, a, rho, ell=3).sbar
-                rows = system.joint_table[2]
-                pairs = [(row, m) for row, m in zip(rows, zip(*sbar)) if m[0] != 0]
-            moments = [row for row, _ in pairs], dict(pairs)
+                sbar = occupancy_moment_vector(system, a, rho, 3).sbar
+                moments = [None], {None: sbar}, None
+            else:
+                stat = per_event_moments(system, a, rho, ell=3)
+                order = [m for m in zip(*stat._sums) if m[0] != 0]
+                moments = order, {m: m for m in order}, stat._denominator
             cache[(statistic, a, rho)] = moments
-        order, distinct = moments
+        order, distinct, d = moments
         cache[key] = order, {
-            row: MomentVector(m[:ell], params) for row, m in distinct.items()
+            k: MomentVector(m[:ell], params)
+            if d is None
+            else _ScaledMoments(m[:ell] + (d,), params)
+            for k, m in distinct.items()
         }
     return cache[key]
 
@@ -162,14 +169,14 @@ def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     else:
         bound = lower_bound_two_moments
     order, vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
-    values = {row: bound(m) for row, m in vectors.items()}
+    values = {k: bound(m) for k, m in vectors.items()}
     total: Number
     if statistic == "occupancy":
         total = values[None]
     else:
         total = Fraction(0)  # the per-event bounds add up, in event order
-        for row in order:
-            total = total + values[row]
+        for k in order:
+            total = total + values[k]
     memo[key] = total
     return total
 
@@ -237,9 +244,11 @@ def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
 
 def _clamp(value: Number) -> Number:
     """value pushed into [0, 1] in its own arithmetic."""
-    if is_exact(value):
-        return min(max(value, Fraction(0)), Fraction(1))
-    return min(max(value, 0.0), 1.0)
+    if value < 0:
+        return Fraction(0) if is_exact(value) else 0.0
+    if value > 1:
+        return Fraction(1) if is_exact(value) else 1.0
+    return value
 
 
 def compare_bounds(

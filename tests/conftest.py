@@ -9,16 +9,26 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from unionbounds import (
     CertificateError,
     EventSystem,
+    ExponentParams,
     InfeasibleIndicesError,
     MomentConsistencyError,
+    MomentVector,
     general_bound,
+    lower_bound_three_moments,
+    lower_bound_two_moments,
+    lower_bound_two_moments_simple,
+    occupancy_moment_vector,
+    per_event_moments,
     random_system,
+    upper_bound_three_moments,
+    upper_bound_two_moments,
 )
 from unionbounds._numeric import rpow
 from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
@@ -28,6 +38,7 @@ from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
     S3_WEIGHTS,
     reference_system,
 )
+from unionbounds.unions import _row_key
 
 
 @pytest.fixture
@@ -472,3 +483,27 @@ def sample_systems(
         )
         for i in range(count)
     ]
+
+
+def moment_vector_row(system: EventSystem, name: str, a, rho):
+    """Report row ``name`` evaluated on public, checked MomentVectors: the
+    scalar bound on the occupancy vector, or summed in event order over the
+    per-event columns of ``per_event_moments(...).sbar`` of positive mass."""
+    kind, statistic, ell, variant, a, rho = _row_key(name, a, rho)
+    if ell == 3:
+        three = {"lower": lower_bound_three_moments, "upper": upper_bound_three_moments}
+        bound = partial(three[kind], variant=variant)
+    elif kind == "upper":
+        bound = upper_bound_two_moments
+    elif variant == "simple":
+        bound = lower_bound_two_moments_simple
+    else:
+        bound = lower_bound_two_moments
+    if statistic == "occupancy":
+        return bound(occupancy_moment_vector(system, a, rho, ell))
+    params = ExponentParams(a, rho, ell, system.n_events)
+    total = Fraction(0)
+    for column in zip(*per_event_moments(system, a, rho, ell=3).sbar):
+        if column[0] != 0:
+            total = total + bound(MomentVector(column[:ell], params))
+    return total

@@ -495,6 +495,35 @@ def test_three_moment_variant_constraints():
         lower_bound_three_moments(make_moments(S3_OCCUPANCY), "bogus")
 
 
+def test_variant_exponent_conditions_do_not_depend_on_the_moments():
+    # a simplified variant's exponent condition fails at (a, rho) whether
+    # or not the moments reach the d1 = 0 or n = 1 returns
+    with pytest.raises(ValueError, match="requires a <= rho"):
+        upper_bound_three_moments(
+            MomentVector((1, 1, 1), ExponentParams(2, 1, 3, 3)), "a_le_rho"
+        )
+    with pytest.raises(ValueError, match="requires a <= rho"):
+        lower_bound_three_moments(
+            MomentVector((1, 9, 81), ExponentParams(2, 1, 3, 9)), "a_le_rho"
+        )
+    holds = {
+        "refined": lambda a, rho: True,
+        "a_le_rho": lambda a, rho: a <= rho,
+        "a_ge_rho": lambda a, rho: a >= rho,
+        "rho_ge_1_simple": lambda a, rho: rho >= 1,
+    }
+    for a, rho in ((2, 1), (1, 2), (1, Fraction(1, 2))):
+        for n, vector in ((3, [0, 0, 1]), (3, [1, 0, 0]), (1, [1]), (3, [1, 1, 1])):
+            moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
+            for bound in (lower_bound_three_moments, upper_bound_three_moments):
+                for variant in VARIANTS:
+                    if holds[variant](a, rho):
+                        assert bound(moments, variant) >= 0
+                        continue
+                    with pytest.raises(ValueError, match=f"'{variant}' requires"):
+                        bound(moments, variant)
+
+
 def _assert_matches_closed_forms(moments):
     assert _outcome(lower_bound_three_moments, moments) == _outcome(
         closed_form_lower_three, moments

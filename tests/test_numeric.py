@@ -24,6 +24,34 @@ def test_is_exact_accepts_rationals_only():
     assert not all_exact(1, 0.5)
 
 
+def test_exactness_checks_read_subclasses_and_bools_as_before():
+    # the type fast paths give the answers of isinstance(x, Rational)
+    class Third(Fraction):
+        pass
+
+    class Wide(float):
+        pass
+
+    cases = [
+        (3, True),
+        (True, True),
+        (Fraction(1, 3), True),
+        (Third(1, 3), True),
+        (0.5, False),
+        (2.0, False),
+        (Wide(0.5), False),
+        (math.nan, False),
+    ]
+    for value, exact in cases:
+        assert is_exact(value) is exact
+        assert all_exact(Fraction(1), value, 2) is exact
+    assert all_exact() is True
+    for value, integral in ((True, 1), (Third(6, 2), 3), (Wide(4.0), 4)):
+        assert integral_value(value) == integral
+        assert type(integral_value(value)) is int
+    assert integral_value(Wide(0.5)) is None
+
+
 def test_integral_value():
     assert integral_value(7) == 7
     assert integral_value(Fraction(6, 2)) == 3

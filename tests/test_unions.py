@@ -10,6 +10,7 @@ import pytest
 
 import unionbounds.unions as unions_module
 from conftest import (
+    moment_vector_row,
     naive_chung_erdos,
     naive_de_caen,
     naive_kat,
@@ -365,6 +366,63 @@ def test_equal_joint_rows_share_one_bound_call(monkeypatch):
         system
     )
     assert refined == simple == three == [(1, 1)] * 3
+
+
+def test_equal_moment_vectors_share_one_bound_call(monkeypatch):
+    # events 0 and 2 hit levels 2 and 1 in opposite atom order, so their
+    # joint rows differ as tuples but their moment vectors are equal
+    system = build_system(["1/4"] * 4, [[0, 1], [0], [2, 3], [3]])
+    rows = system.joint_table[2]
+    assert rows[0] != rows[2] and sorted(rows[0]) == sorted(rows[2])
+    assert rows[1] == rows[3] and len(set(rows)) == 3
+    names = (
+        "lower_bound_two_moments",
+        "lower_bound_two_moments_simple",
+        "lower_bound_three_moments",
+        "upper_bound_three_moments",
+    )
+    calls = []
+    for name in names:
+
+        def logged(moments, name=name, bound=getattr(unions_module, name), **kwargs):
+            # each vector arrives as integers over the table's denominator
+            calls.append((name, moments.params.a, moments._integers[-1]))
+            return bound(moments, **kwargs)
+
+        monkeypatch.setattr(unions_module, name, logged)
+    for name in ("kat", "de_caen", "per_event_lower_three", "per_event_upper_three"):
+        assert union_bound(system, name) == moment_vector_row(system, name, 1, 1)
+    for a in (2, 2.0, Fraction(2)):  # integral exponents of any type
+        copy = EventSystem(system.weights, system.events)  # no kept rows
+        for name in ("per_event_lower_two", "per_event_upper_three"):
+            expected = moment_vector_row(system, name, 2, 1)
+            assert union_bound(copy, name, a, 1) == expected
+    d = system.joint_table[0]
+    expected = [(name, 1, d) for name in names for _ in range(2)]
+    for a in (2, 2.0, Fraction(2)):
+        expected += [(name, a, d) for name in (names[0], names[3]) for _ in range(2)]
+    assert calls == expected
+
+
+# (1,1) rows run simplified closed forms, the others the integer kernels;
+# 2.0 and Fraction(2) are integral exponents and take the integer rows too
+@pytest.mark.parametrize(
+    "a, rho", [(1, 1), (2, 1), (1, 2), (3, 2), (2.0, 1), (Fraction(2), 1)]
+)
+def test_integer_rows_equal_the_moment_vector_rows(a, rho):
+    rng = random.Random(311)
+    profiles = ("dense", "sparse", "disjoint-ish")
+    for i in range(300):
+        seed, n_events = rng.randrange(2**31), rng.randint(2, 10)
+        system = random_system(seed, n_events, rng.randint(2, 60), profiles[i % 3])
+        for entry in compare_bounds(system, a, rho).entries:
+            try:
+                expected = moment_vector_row(system, entry.name, a, rho)
+            except (ValueError, ArithmeticError) as exc:
+                assert entry.error == f"{type(exc).__name__}: {exc}"
+                continue
+            assert entry.error is None and entry.arithmetic == "rational"
+            assert type(entry.value) is type(expected) and entry.value == expected
 
 
 def test_float_section_totals_are_event_order_sums():
