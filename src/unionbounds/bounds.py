@@ -2,19 +2,21 @@
 
 Given s_k = sum_i i**(a + (k-1)*rho) * r_i for an unknown non-negative vector
 r over indices 1..n, the functions here return certified lower and upper
-bounds on sum(r). Closed forms cover two and three moments; a general engine
-handles arbitrary non-negative feature rows with an explicit sign
-certificate.
+bounds on sum(r) from two or three moments; a general engine handles
+arbitrary non-negative feature rows with an explicit sign certificate.
 
-The three-moment bounds have one term formula per direction; the variants
-differ only in the window points where the two terms are evaluated:
-"refined" at (b, b+1), "a_le_rho" at (delta, delta+1), "a_ge_rho" at
-(delta-1, delta) and "rho_ge_1_simple" at the one point delta or delta-1.
-
-Arithmetic is exact (``fractions.Fraction``) whenever the moments are
-rational and a, rho are integers; otherwise IEEE doubles are used, and the
-float cone checks allow a fixed relative slack of 1e-9. Every function is
-pure and safe for concurrent use.
+Each refined bound is the total mass of the vector that matches the moments
+on its index window, and one kernel, ``_window_bound``, computes it for exact
+and float input alike. The arithmetic is fixed once at entry: the moments as
+integers over their common denominator when they are rational and a, rho are
+integers, else IEEE doubles. One set of cone checks per direction runs on
+those numbers (floats with a relative slack of 1e-9); only the last step
+differs: one ``Fraction``, or a float sum of the point masses that raises
+ArithmeticError when it is not finite or impossible. The simplified variants
+keep their closed forms: one term formula per direction, evaluated at
+(delta, delta+1) for "a_le_rho", (delta-1, delta) for "a_ge_rho" and the one
+point delta or delta-1 for "rho_ge_1_simple". Every function is pure and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from ._numeric import (
     all_exact,
     floor_root,
     integral_value,
-    is_exact,
     nth_root_exact,
     rpow,
     solve_linear,
@@ -158,42 +159,30 @@ class MomentVector:
         return cls(tuple(sbar), params)
 
     def validate(self) -> "MomentVector":
-        """Check the moment-cone inequalities any genuine vector satisfies.
+        """Check the moment-cone inequalities any genuine vector satisfies:
+        the two-moment cone at ell = 2, else the lower and upper three-moment
+        cones of every three consecutive moments (those of the same vector at
+        exponents shifted by rho), labelled as (s1, s2, s3).
 
         Raises MomentConsistencyError naming the violated inequality.
         """
+        values, _, rho = _arithmetic(self, self.params.ell)
+        *sums, scale = values
         n = self.params.n_support
-        step = rpow(n, self.params.rho)
-        for k in range(self.params.ell - 1):
-            lo, hi = self.sbar[k], self.sbar[k + 1]
-            _check_lower(hi, lo, f"s{k + 2} >= s{k + 1}")
-            _check_upper(hi, step * lo, f"s{k + 2} <= n**rho * s{k + 1}")
-        if self.params.ell >= 3:
-            s1, s2, s3 = self.sbar[:3]
-            d1 = step * s1 - s2
-            d2 = step * s2 - s3
-            _check_upper(
-                d2,
-                rpow(n - 1, self.params.rho) * d1,
-                "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)",
-            )
-            h1 = s2 - s1
-            h2 = s3 - s2
-            if h1 > 0:
-                _check_lower(
-                    h2,
-                    rpow(2, self.params.rho) * h1,
-                    "(s3 - s2) >= 2**rho * (s2 - s1)",
-                )
+        if len(sums) == 2:
+            _two_moment_cone(*sums, scale, n, rho)
+        for k in range(len(sums) - 2):
+            _lower_three_cone(sums[k:], scale, n, rho, strict=True)
+            _upper_three_cone(sums[k:], scale, n, rho, strict=True)
         return self
 
 
 class _ScaledMoments(MomentVector):
     """Moments S_1/D, ..., S_ell/D at integral a and rho, held as the
     integers (S_1, ..., S_ell, D), of a vector non-negative by construction
-    (a report row's). They skip the checks of ``MomentVector``: the exact
-    kernels run their cone checks on the integers, and sbar is built only
-    for a closed form that reads it."""
+    (a report row's). They skip the checks of ``MomentVector``: the bounds
+    run their cone checks on the integers, and sbar is built only when
+    read."""
 
     exact = True
 
@@ -238,49 +227,111 @@ def _zero_like(*values: Number) -> Number:
     return Fraction(0) if all_exact(*values) else 0.0
 
 
-def _inconsistent(label: str, detail: str) -> MomentConsistencyError:
-    return MomentConsistencyError(f"inconsistent moments: {label} ({detail})")
-
-
-def _check_nonneg(value: Number, label: str, scale: Number = 1) -> Number:
-    if is_exact(value):
-        if value < 0:
-            raise _inconsistent(label, f"got {value}")
-        return value
-    v = float(value)
-    if v < -_FLOAT_SLACK * max(1.0, abs(float(scale))):
-        raise _inconsistent(label, f"got {v}")
-    return max(v, 0.0)
-
-
-def _check_lower(value: Number, limit: Number, label: str) -> Number:
-    """Require value >= limit; clamp float noise up to the limit."""
-    if all_exact(value, limit):
-        if value < limit:
-            raise _inconsistent(label, f"{value} < {limit}")
-        return value
-    v, lim = float(value), float(limit)
-    if v < lim - _FLOAT_SLACK * max(1.0, abs(v), abs(lim)):
-        raise _inconsistent(label, f"{v} < {lim}")
-    return max(v, lim)
-
-
-def _check_upper(value: Number, limit: Number, label: str) -> Number:
-    """Require value <= limit; clamp float noise down to the limit."""
-    if all_exact(value, limit):
-        if value > limit:
-            raise _inconsistent(label, f"{value} > {limit}")
-        return value
-    v, lim = float(value), float(limit)
-    if v > lim + _FLOAT_SLACK * max(1.0, abs(v), abs(lim)):
-        raise _inconsistent(label, f"{v} > {lim}")
-    return min(v, lim)
-
-
-def _require_ell(moments: MomentVector, ell: int) -> ExponentParams:
-    if moments.params.ell != ell:
+def _arithmetic(moments: MomentVector, ell: int) -> tuple[Sequence, Number, Number]:
+    """(values, a, rho) of an ell-moment bound, in the arithmetic it runs in,
+    fixed once: the integers (S_1, ..., S_ell, D) of the moments S_k/D with
+    integral a and rho on exact input, else the floats (s_1, ..., s_ell, 1.0)
+    with float a and rho."""
+    params = moments.params
+    if params.ell != ell:
         raise ValueError(f"this bound needs exactly {ell} moments")
-    return moments.params
+    if moments.exact:
+        return moments._integers, integral_value(params.a), integral_value(params.rho)
+    return [*map(float, moments.sbar), 1.0], float(params.a), float(params.rho)
+
+
+def _ratio(value: Number, denominator: Number) -> Number:
+    """value / denominator: one Fraction from integers, else a float."""
+    if type(value) is int:
+        return Fraction(value, denominator)
+    return value / denominator
+
+
+def _checked(value, relation: str, limit, label: str, scale, size=0) -> Number:
+    """``value`` after the cone check ``value relation limit`` (">=" or
+    "<="; limit None means value >= 0), both over ``scale``.
+
+    Integers compare exactly, and a failure prints them as the rationals over
+    scale. Floats may miss the limit by _FLOAT_SLACK relative to
+    max(1, |value|, |limit|, |size|) and are clamped to it."""
+    bound = 0 * scale if limit is None else limit
+    if type(scale) is int:
+        if value >= bound if relation == ">=" else value <= bound:
+            return value
+        shown, shown_limit = Fraction(value, scale), Fraction(bound, scale)
+    else:
+        tol = _FLOAT_SLACK * max(1.0, abs(value), abs(bound), abs(size))
+        if relation == ">=" and not value < bound - tol:
+            return max(value, bound)
+        if relation == "<=" and not value > bound + tol:
+            return min(value, bound)
+        shown, shown_limit = value, bound
+    failed = "<" if relation == ">=" else ">"
+    detail = f"got {shown}" if limit is None else f"{shown} {failed} {shown_limit}"
+    raise MomentConsistencyError(f"inconsistent moments: {label} ({detail})")
+
+
+def _two_moment_cone(s1, s2, scale, n: int, rho) -> Number:
+    """s2 after the two-moment cone checks: s2 = 0 when s1 = 0, else
+    s1 <= s2 <= n**rho * s1."""
+    if s1 == 0:
+        return _checked(s2, "<=", s1, "s2 must vanish when s1 does", scale)
+    s2 = _checked(s2, ">=", s1, "s2 >= s1", scale)
+    return _checked(s2, "<=", n**rho * s1, "s2 <= n_support**rho * s1", scale)
+
+
+def _lower_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Number]:
+    """The lower residuals d1 = n**rho * s1 - s2 and d2 = n**rho * s2 - s3 of
+    s = (s1, s2, s3, ...) after their cone checks: the moments of the
+    non-negative vector r_i * (n**rho - i**rho) on 1..n-1. At d1 = 0 (all
+    mass at n) the bound needs only the signs; ``strict`` checks the rest."""
+    s1, s2, s3 = s[:3]
+    top = n**rho
+    label = "n**rho * s1 - s2 must be non-negative"
+    d1 = _checked(top * s1 - s2, ">=", None, label, scale, top * s1)
+    label = "n**rho * s2 - s3 must be non-negative"
+    d2 = _checked(top * s2 - s3, ">=", None, label, scale, top * s2)
+    if d1 == 0 and not strict:
+        return d1, d2
+    d2 = _checked(d2, ">=", d1, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)", scale)
+    label = "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)"
+    return d1, _checked(d2, "<=", (n - 1) ** rho * d1, label, scale)
+
+
+def _upper_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Number]:
+    """The upper residuals d1 = s2 - s1 and d2 = s3 - s2 of s = (s1, s2, s3,
+    ...) after their cone checks: the moments of the non-negative vector
+    r_i * (i**rho - 1) on 2..n. At d1 = 0 (all mass at 1) the bound needs
+    only the signs; ``strict`` checks the rest."""
+    s1, s2, s3 = s[:3]
+    d1 = _checked(s2 - s1, ">=", None, "s2 - s1 must be non-negative", scale, s2)
+    d2 = _checked(s3 - s2, ">=", None, "s3 - s2 must be non-negative", scale, s3)
+    if d1 == 0 and not strict:
+        return d1, d2
+    d2 = _checked(d2, ">=", 2**rho * d1, "(s3 - s2) >= 2**rho * (s2 - s1)", scale)
+    label = "(s3 - s2) <= n**rho * (s2 - s1)"
+    return d1, _checked(d2, "<=", n**rho * d1, label, scale)
+
+
+def _possible(value: Number, kind: str, s1: Number, n: int, a: Number) -> Number:
+    """A ``kind`` bound computed in floats (s1 a float), unless it is not
+    finite or lies on the impossible side of [s1/n**a, s1], where sum(r)
+    always lies (1 <= i**a <= n**a): an upper bound below s1/n**a or a lower
+    bound above s1, by more than the float slack. Those raise
+    ArithmeticError. Exact input passes unchecked."""
+    if type(s1) is not float:
+        return value
+    if kind == "upper":
+        limit, side = s1 * (1.0 / n) ** a, ">= s1/n**a"  # underflows, never overflows
+        ok = value >= limit * (1 - _FLOAT_SLACK)
+    else:
+        limit, side = s1, "<= s1"
+        ok = value <= limit * (1 + _FLOAT_SLACK)
+    if ok and math.isfinite(value):
+        return value
+    raise ArithmeticError(
+        f"float {kind} bound {value} is impossible: sum(r) {side} = {float(limit)}"
+    )
 
 
 _THETA_MAX = 1.0 - 1e-12
@@ -339,122 +390,6 @@ def _delta_decomposition(
     return _DeltaDecomposition(delta, theta, refined, base)
 
 
-def _two_moment_window(moments: MomentVector) -> tuple[Number, Number] | None:
-    """Shared validation for the two-moment bounds: the checked (s1, s2), or
-    None when s1 = 0."""
-    params = moments.params
-    s1, s2 = moments.sbar
-    if s1 == 0:
-        _check_upper(s2, _zero_like(s2), "s2 must vanish when s1 does")
-        return None
-    s2 = _check_lower(s2, s1, "s2 >= s1")
-    s2 = _check_upper(
-        s2,
-        rpow(params.n_support, params.rho) * s1,
-        "s2 <= n_support**rho * s1",
-    )
-    return s1, s2
-
-
-def lower_bound_two_moments(moments: MomentVector) -> Number:
-    """Sharp lower bound on sum(r) from the first two power moments.
-
-    The extremal vector sits on the two integers bracketing
-    delta = (s2/s1)**(1/rho); theta_refined splits the mass between them, so
-    the bound is s1 * (theta_refined / (base+1)**a + (1-theta_refined) /
-    base**a). Equality holds exactly when r is supported on {base, base+1}.
-    On exact input it is that vector's total mass, solved in integers: the
-    mass on (b, b+1), or on (b,), which is s1 / b**a, when s2 = b**rho * s1.
-    """
-    params = _require_ell(moments, 2)
-    if moments.exact:
-        a, rho = integral_value(params.a), integral_value(params.rho)
-        s1, s2, scale = _checked_two_integers(moments._integers, rho, params.n_support)
-        if s1 == 0:
-            return Fraction(0)
-        b = floor_root(s2 // s1, rho)
-        window = _index_window("lower", 2, b, params.n_support, s2 == b**rho * s1)
-        return _window_mass(window, s1, s2, 0, scale, a, rho)
-    prepared = _two_moment_window(moments)
-    if prepared is None:
-        return _zero_like(*moments.sbar)
-    s1, s2 = prepared
-    dd = _delta_decomposition(s1, s2, params.rho)
-    low = rpow(dd.base, params.a)
-    if dd.theta_refined == 0:
-        return s1 / low
-    high = rpow(dd.base + 1, params.a)
-    return s1 * (dd.theta_refined / high + (1 - dd.theta_refined) / low)
-
-
-def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
-    """Window-free two-moment lower bound.
-
-    s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1; for rho < 1 the same value
-    scaled by (1 - theta_refined)/(1 - theta). Never exceeds the refined
-    two-moment bound on the same moments.
-    """
-    params = _require_ell(moments, 2)
-    prepared = _two_moment_window(moments)
-    if prepared is None:
-        return _zero_like(*moments.sbar)
-    s1, s2 = prepared
-    a_int, rho_int = integral_value(params.a), integral_value(params.rho)
-    if a_int is not None and rho_int is not None:
-        e_hi: Number = Fraction(a_int + rho_int, rho_int)
-        e_lo: Number = Fraction(a_int, rho_int)
-    else:
-        a_f, rho_f = float(params.a), float(params.rho)
-        e_hi = (a_f + rho_f) / rho_f
-        e_lo = a_f / rho_f
-    core = rpow(s1, e_hi) / rpow(s2, e_lo)
-    if params.rho >= 1:
-        return core
-    dd = _delta_decomposition(s1, s2, params.rho)
-    if dd.theta == 0:
-        return core
-    return core * (1 - dd.theta_refined) / (1 - dd.theta)
-
-
-def upper_bound_two_moments(moments: MomentVector) -> Number:
-    """Sharp upper bound from two power moments, attained on support {1, n}.
-
-    The moments must pass the lower bound's cone checks. The raw value is
-    returned unclamped; it can exceed one when the moments come from a
-    probability setting. n_support = 1 degenerates to s1. On exact input it
-    is the mass of the vector on (1, n), solved in integers.
-    """
-    params = _require_ell(moments, 2)
-    n = params.n_support
-    if moments.exact:
-        rho = integral_value(params.rho)
-        s1, s2, scale = _checked_two_integers(moments._integers, rho, n)
-        if n == 1:
-            return Fraction(s1, scale)
-        window = _index_window("upper", 2, 0, n)
-        return _window_mass(window, s1, s2, 0, scale, integral_value(params.a), rho)
-    _two_moment_window(moments)  # the checks only: the value reads the raw moments
-    s1, s2 = moments.sbar
-    if n == 1:
-        return s1
-    na = rpow(n, params.a)
-    nar = rpow(n, params.a + params.rho)
-    return ((nar - 1) * s1 - (na - 1) * s2) / (nar - na)
-
-
-def _require_variant(variant: str, a: Number, rho: Number) -> None:
-    """Reject an unknown variant, or a simplified one whose exponent
-    condition fails, before any moment is read."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "a_le_rho" and not a <= rho:
-        raise ValueError("variant 'a_le_rho' requires a <= rho")
-    if variant == "a_ge_rho" and not a >= rho:
-        raise ValueError("variant 'a_ge_rho' requires a >= rho")
-    if variant == "rho_ge_1_simple" and not rho >= 1:
-        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
-
-
 def _index_window(
     kind: str, ell: int, b: int, n: int, on_point: bool = False
 ) -> tuple[int, ...]:
@@ -470,135 +405,142 @@ def _index_window(
     return (1, b) if on_point else (1, b, b + 1)
 
 
-def _window_mass(
-    window: tuple[int, ...], s1: int, s2: int, s3: int, scale: int, a: int, rho: int
-) -> Fraction:
-    """sum(r) for the vector r supported on ``window`` whose first
-    len(window) moments are s1/scale, s2/scale, s3/scale (integers s_k).
+def _window_bound(kind: str, ell: int, p, q, s1, scale, a, rho, n: int) -> Number:
+    """The refined ``kind`` bound from ell moments: sum(r) for the vector r
+    on ``_index_window`` whose moments over ``scale`` are the given ones.
 
-    One point i carries r_i = s1 / (scale * i**a). Otherwise, with
-    w_i = i**a, u_i = w_i * r_i and x_i = i**rho the moments are
-    sum_i u_i * x_i**k: a 2- or 3-point Vandermonde system in x, which
-    Lagrange's formula solves over the common denominator V, the product of
-    the differences of the x. Then sum(r) = sum_i u_i / w_i.
+    Every window is a one- or two-point solve on (p, q) > 0: (s1, s2) for
+    two moments, the residuals (d1, d2) of ``_lower_three_cone`` or
+    ``_upper_three_cone`` for three, whose fixed point f = n or 1 carries no
+    residual mass. b = floor((q/p)**(1/rho)) picks the points; over x = i**rho
+    and y = j**rho they carry v_i = p * (1 - t) and v_j = p * t with
+    t = (q/p - x) / (y - x), or v_i = p on a point. Each adds v * g(i), with
+    g(i) = 1 / i**a for two moments; for three, the bound is
+    s1/c + sum v * (c - i**a) / (c * i**a * psi(i)), with c = f**a and the
+    residual factor psi(i) = |f**rho - i**rho|.
+
+    Integers give one Fraction over the common denominator; floats sum the
+    point masses, and ``_possible`` rejects an impossible result.
     """
-    if len(window) == 1:
-        return Fraction(s1, scale * window[0] ** a)
-    if len(window) == 2:  # V = y - x
-        i, j = window
-        x, y, wi, wj = i**rho, j**rho, i**a, j**a
-        num = (y * s1 - s2) * wj + (s2 - x * s1) * wi
-        return Fraction(num, (y - x) * wi * wj * scale)
-    i, j, k = window  # V = (x - y)(x - z)(y - z)
-    x, y, z = i**rho, j**rho, k**rho
-    wi, wj, wk = i**a, j**a, k**a
-    ui = s3 - (y + z) * s2 + y * z * s1  # u_i = ui * (y - z) / V
-    uj = s3 - (x + z) * s2 + x * z * s1  # u_j = -uj * (x - z) / V
-    uk = s3 - (x + y) * s2 + x * y * s1  # u_k = uk * (x - y) / V
-    num = ui * (y - z) * wj * wk - uj * (x - z) * wi * wk + uk * (x - y) * wi * wj
-    return Fraction(num, (x - y) * (x - z) * (y - z) * wi * wj * wk * scale)
+    exact = type(scale) is int
+    if exact:
+        b = floor_root(q // p, rho)
+        on_point = q == b**rho * p
+    else:  # the snap of _delta_decomposition keeps noise off the window edge
+        dd = _delta_decomposition(p, q, rho)
+        b, on_point = dd.base, dd.theta_refined == 0
+    points = _index_window(kind, ell, b, n, on_point)
+    base, c = 0 * scale, 1
+    if ell == 3:  # drop the fixed point f, which carries no residual mass
+        base = s1
+        if kind == "lower":
+            points, c, f_rho = points[:-1], n**a, n**rho
+        else:
+            points, f_rho = points[1:], 1
+    i = points[0]
+    x, wi = i**rho, i**a
+    gi, psi_i = (1, 1) if ell == 2 else (c - wi, abs(f_rho - x))
+    if len(points) == 1:
+        if exact:
+            return Fraction(base * wi * psi_i + p * gi, wi * psi_i * c * scale)
+        return _possible(p * gi / (c * wi * psi_i) + base / c, kind, s1, n, a)
+    j = points[1]
+    y, wj = j**rho, j**a
+    gj, psi_j = (1, 1) if ell == 2 else (c - wj, abs(f_rho - y))
+    if exact:
+        di, dj = wi * psi_i, wj * psi_j
+        num = base * (y - x) * di * dj + (y * p - q) * gi * dj + (q - x * p) * gj * di
+        return Fraction(num, (y - x) * di * dj * c * scale)
+    t = (q / p - x) / (y - x)
+    total = p * (1 - t) * gi / (c * wi * psi_i) + p * t * gj / (c * wj * psi_j)
+    return _possible(total + base / c, kind, s1, n, a)
 
 
-def _scaled_inconsistent(
-    label: str, scale: int, value: int, relation: str = "", limit: int = 0
-) -> MomentConsistencyError:
-    """The closed form's error for a failed integer check, printing the
-    integers over ``scale`` as the rationals the closed form compares."""
-    if not relation:
-        return _inconsistent(label, f"got {Fraction(value, scale)}")
-    return _inconsistent(
-        label, f"{Fraction(value, scale)} {relation} {Fraction(limit, scale)}"
-    )
+def lower_bound_two_moments(moments: MomentVector) -> Number:
+    """Sharp lower bound on sum(r) from the first two power moments.
 
-
-def _checked_two_integers(scaled: Sequence[int], rho: int, n: int) -> Sequence[int]:
-    """``scaled`` = [S1, S2, D] after the two-moment cone checks of
-    ``_two_moment_window``, run on the integers with the same texts."""
-    s1, s2, scale = checked = scaled
+    The extremal vector sits on the window (b, b+1) bracketing
+    delta = (s2/s1)**(1/rho), or on (b,) alone when s2 = b**rho * s1, and the
+    bound is its total mass (``_window_bound``):
+    s1 * ((1 - t) / b**a + t / (b+1)**a) with t = (s2/s1 - b**rho) /
+    ((b+1)**rho - b**rho). Equality holds exactly when r is supported on the
+    window.
+    """
+    (s1, s2, scale), a, rho = _arithmetic(moments, 2)
+    n = moments.params.n_support
+    s2 = _two_moment_cone(s1, s2, scale, n, rho)
     if s1 == 0:
-        if s2 > 0:
-            raise _scaled_inconsistent("s2 must vanish when s1 does", scale, s2, ">")
-        return checked
-    if s2 < s1:
-        raise _scaled_inconsistent("s2 >= s1", scale, s2, "<", s1)
-    limit = n**rho * s1
-    if s2 > limit:
-        raise _scaled_inconsistent("s2 <= n_support**rho * s1", scale, s2, ">", limit)
-    return checked
+        return _ratio(s1, scale)
+    return _window_bound("lower", 2, s1, s2, s1, scale, a, rho, n)
 
 
-def _lower_three_exact(scaled: Sequence[int], a: int, rho: int, n: int) -> Fraction:
-    """The refined three-moment lower bound on ``scaled`` = (S1, S2, S3, D):
-    the mass on ``_index_window`` at b = floor((d2/d1)**(1/rho)), with
-    d1 = n**rho * s1 - s2 and d2 = n**rho * s2 - s3. The checks are the
-    closed form's, run on the integers."""
-    s1, s2, s3, scale = scaled
-    top = n**rho
-    d1, d2 = top * s1 - s2, top * s2 - s3
-    if d1 < 0:
-        raise _scaled_inconsistent("n**rho * s1 - s2 must be non-negative", scale, d1)
-    if d2 < 0:
-        raise _scaled_inconsistent("n**rho * s2 - s3 must be non-negative", scale, d2)
-    if d1 == 0:
-        return Fraction(s1, scale * n**a)  # all mass sits at the top index
-    if d2 < d1:
-        label = "(n**rho*s2 - s3) >= (n**rho*s1 - s2)"
-        raise _scaled_inconsistent(label, scale, d2, "<", d1)
-    limit = (n - 1) ** rho * d1
-    if d2 > limit:
-        label = "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)"
-        raise _scaled_inconsistent(label, scale, d2, ">", limit)
-    b = floor_root(d2 // d1, rho)
-    window = _index_window("lower", 3, b, n, d2 == b**rho * d1)
-    return _window_mass(window, s1, s2, s3, scale, a, rho)
+def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
+    """Window-free two-moment lower bound.
+
+    s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1; for rho < 1 the same value
+    scaled by (1 - theta_refined)/(1 - theta). Never exceeds the refined
+    two-moment bound on the same moments.
+    """
+    (s1, s2, scale), a, rho = _arithmetic(moments, 2)
+    n = moments.params.n_support
+    s2 = _two_moment_cone(s1, s2, scale, n, rho)
+    if s1 == 0:
+        return _ratio(s1, scale)
+    if type(scale) is int:
+        e, rest = divmod(a, rho)
+        if not rest:  # s1**(e+1) / s2**e in the integers over D
+            return Fraction(s1 ** (e + 1), s2**e * scale)
+        e_hi, e_lo = Fraction(a + rho, rho), Fraction(a, rho)
+        s1, s2 = Fraction(s1, scale), Fraction(s2, scale)
+    else:
+        e_hi, e_lo = (a + rho) / rho, a / rho
+    core = rpow(s1, e_hi) / rpow(s2, e_lo)
+    if rho < 1:
+        dd = _delta_decomposition(s1, s2, rho)
+        if dd.theta != 0:
+            core = core * (1 - dd.theta_refined) / (1 - dd.theta)
+    return _possible(core, "lower", s1, n, a)
 
 
-def _upper_three_exact(scaled: Sequence[int], a: int, rho: int, n: int) -> Fraction:
-    """The refined three-moment upper bound on ``scaled`` = (S1, S2, S3, D):
-    the mass on ``_index_window`` at b = floor((d2/d1)**(1/rho)), with
-    d1 = s2 - s1 and d2 = s3 - s2. The checks are the closed form's, run on
-    the integers."""
-    s1, s2, s3, scale = scaled
-    d1, d2 = s2 - s1, s3 - s2
-    if d1 < 0:
-        raise _scaled_inconsistent("s2 - s1 must be non-negative", scale, d1)
-    if d2 < 0:
-        raise _scaled_inconsistent("s3 - s2 must be non-negative", scale, d2)
-    if d1 == 0:
-        return Fraction(s1, scale)
-    limit = 2**rho * d1
-    if d2 < limit:
-        label = "(s3 - s2) >= 2**rho * (s2 - s1)"
-        raise _scaled_inconsistent(label, scale, d2, "<", limit)
-    limit = n**rho * d1
-    if d2 > limit:
-        label = "(s3 - s2) <= n**rho * (s2 - s1)"
-        raise _scaled_inconsistent(label, scale, d2, ">", limit)
-    b = floor_root(d2 // d1, rho)  # b >= 2 after the checks
-    window = _index_window("upper", 3, b, n, d2 == b**rho * d1)
-    return _window_mass(window, s1, s2, s3, scale, a, rho)
+def upper_bound_two_moments(moments: MomentVector) -> Number:
+    """Sharp upper bound from two power moments, attained on support {1, n}.
+
+    The moments must pass the lower bound's cone checks. The raw value is
+    returned unclamped; it can exceed one when the moments come from a
+    probability setting. n_support = 1 degenerates to s1. Otherwise it is
+    the total mass of the vector on (1, n) (``_window_bound``).
+    """
+    (s1, s2, scale), a, rho = _arithmetic(moments, 2)
+    n = moments.params.n_support
+    s2 = _two_moment_cone(s1, s2, scale, n, rho)
+    if n == 1 or s1 == 0:
+        return _ratio(s1, scale)
+    return _window_bound("upper", 2, s1, s2, s1, scale, a, rho, n)
 
 
-# The two window points of each two-term variant, as offsets k from the
-# origin x of ``_window_origin``: x = b ("refined") or x = delta (the others).
-_POINT_OFFSETS = {"refined": (0, 1), "a_le_rho": (0, 1), "a_ge_rho": (-1, 0)}
+def _require_variant(variant: str, a: Number, rho: Number) -> None:
+    """Reject an unknown variant, or a simplified one whose exponent
+    condition fails, before any cone check runs."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "a_le_rho" and not a <= rho:
+        raise ValueError("variant 'a_le_rho' requires a <= rho")
+    if variant == "a_ge_rho" and not a >= rho:
+        raise ValueError("variant 'a_ge_rho' requires a >= rho")
+    if variant == "rho_ge_1_simple" and not rho >= 1:
+        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
+
+
+# The two window points of each two-term simplified variant, as offsets k
+# from delta.
+_POINT_OFFSETS = {"a_le_rho": (0, 1), "a_ge_rho": (-1, 0)}
 
 
 def _window_origin(
-    dd: _DeltaDecomposition,
-    d1: Number,
-    d2: Number,
-    a: Number,
-    rho: Number,
-    variant: str,
+    dd: _DeltaDecomposition, d1: Number, d2: Number, a: Number, rho: Number
 ) -> tuple:
-    """(x, a, rho, x**a, x**rho) at the origin x of the variant's points.
-
-    A simplified variant has x = delta, with delta**rho = d2/d1 exact
-    whenever the inputs are."""
-    if variant == "refined":
-        b = dd.base
-        return b, a, rho, rpow(b, a), rpow(b, rho)
+    """(delta, a, rho, delta**a, delta**rho), the origin of a simplified
+    variant's points, with delta**rho = d2/d1 exact whenever the inputs are."""
     delta, d_rho = dd.delta, d2 / d1
     d_a = d_rho if a == rho else rpow(delta, a)
     return delta, a, rho, d_a, d_rho
@@ -629,55 +571,42 @@ def lower_bound_three_moments(
 
     Works through the residuals d1 = n**rho * s1 - s2 and
     d2 = n**rho * s2 - s3, whose own ratio locates a window next to the top
-    index: the bound is s1/n**a plus a ``_lower_term`` at each window point,
-    weighted 1 - theta_refined and theta_refined. The "refined" variant
-    takes the points (b, b+1) and is sharp for vectors supported on
-    {b, b+1, n}; on exact input it is that vector's total mass, solved in
-    integers (``_lower_three_exact``). "a_le_rho" takes (delta, delta+1) and
-    "a_ge_rho" (delta-1, delta); "rho_ge_1_simple" (requires rho >= 1)
-    takes one term of weight one, at delta when a < rho, else at delta-1.
+    index. The "refined" variant is the total mass of the vector on
+    (b, b+1, n), or (b, n) on a point (``_window_bound``); it is sharp for
+    vectors supported there. The simplified variants add to s1/n**a a
+    ``_lower_term`` at each of their points, weighted 1 - theta_refined and
+    theta_refined: "a_le_rho" takes (delta, delta+1) and "a_ge_rho"
+    (delta-1, delta); "rho_ge_1_simple" (requires rho >= 1) takes one term
+    of weight one, at delta when a < rho, else at delta-1.
     """
-    params = _require_ell(moments, 3)
-    a, rho, n = params.a, params.rho, params.n_support
-    _require_variant(variant, a, rho)
-    if variant == "refined" and moments.exact:
-        return _lower_three_exact(
-            moments._integers, integral_value(a), integral_value(rho), n
-        )
-    s1, s2, s3 = moments.sbar
-    n_rho = rpow(n, rho)
-    n_a = rpow(n, a)
-    d1 = _check_nonneg(
-        n_rho * s1 - s2, "n**rho * s1 - s2 must be non-negative", n_rho * s1
-    )
-    d2 = _check_nonneg(
-        n_rho * s2 - s3, "n**rho * s2 - s3 must be non-negative", n_rho * s2
-    )
-    if d1 == 0:
-        return s1 / n_a  # all mass sits at the top index
-    d2 = _check_lower(d2, d1, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)")
-    d2 = _check_upper(
-        d2,
-        rpow(n - 1, rho) * d1,
-        "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)",
-    )
+    params = moments.params
+    values, a, rho = _arithmetic(moments, 3)
+    _require_variant(variant, params.a, params.rho)
+    s1, scale, n = values[0], values[-1], params.n_support
+    d1, d2 = _lower_three_cone(values, scale, n, rho)
+    if d1 == 0:  # all mass sits at the top index
+        return _ratio(s1, scale * n**a)
+    if n == 1:  # the only vector is r_1 = s1
+        return moments.sbar[0]
+    if variant == "refined":
+        return _window_bound("lower", 3, d1, d2, s1, scale, a, rho, n)
+    d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
+    n_a, n_rho = n**a, n**rho
     dd = _delta_decomposition(d1, d2, rho)
     b, tbar = dd.base, dd.theta_refined
-    tail = s1 / n_a
-    win, top = _window_origin(dd, d1, d2, a, rho, variant), (n_a, n_rho)
-    if n == 1:  # the only vector is r_1 = s1
-        return s1
+    win, top = _window_origin(dd, d1, d2, a, rho), (n_a, n_rho)
     if variant == "rho_ge_1_simple":
         d_a = win[3]
         if a == rho:  # the term's power ratio is exactly one
-            return d1 / (n_a * d_a) + tail
-        return _lower_term(d1, 1, d_a, win, 0 if a < rho else -1, top) + tail
-    lo, hi = _POINT_OFFSETS[variant]
-    t1 = _lower_term(d1, 1 - tbar, rpow(b, a), win, lo, top)
-    if tbar == 0:
-        return t1 + tail
-    t2 = _lower_term(d1, tbar, rpow(b + 1, a), win, hi, top)
-    return t1 + t2 + tail
+            value = d1 / (n_a * d_a)
+        else:
+            value = _lower_term(d1, 1, d_a, win, 0 if a < rho else -1, top)
+    else:
+        lo, hi = _POINT_OFFSETS[variant]
+        value = _lower_term(d1, 1 - tbar, rpow(b, a), win, lo, top)
+        if tbar != 0:
+            value = value + _lower_term(d1, tbar, rpow(b + 1, a), win, hi, top)
+    return _possible(value + s1 / n_a, "lower", s1, n, a)
 
 
 def _power_ratio(x: Number, a: Number, rho: Number) -> Number:
@@ -707,39 +636,35 @@ def upper_bound_three_moments(
     """Upper bound on sum(r) from three power moments.
 
     Works through d1 = s2 - s1 and d2 = s3 - s2; their ratio locates a
-    window away from index one, and the bound is s1 minus an
-    ``_upper_term`` at each of the points the lower bound's variant of the
-    same name takes. Sharp ("refined") for vectors supported on
-    {1, b, b+1}; on exact input it is that vector's total mass, solved in
-    integers (``_upper_three_exact``).
+    window away from index one. The "refined" variant is the total mass of
+    the vector on (1, b, b+1), or (1, b) on a point (``_window_bound``), and
+    is sharp for vectors supported there. A simplified variant is s1 minus
+    an ``_upper_term`` at each of the points the lower bound's variant of
+    the same name takes.
     """
-    params = _require_ell(moments, 3)
-    a, rho, n = params.a, params.rho, params.n_support
-    _require_variant(variant, a, rho)
-    if variant == "refined" and moments.exact:
-        return _upper_three_exact(
-            moments._integers, integral_value(a), integral_value(rho), n
-        )
-    s1, s2, s3 = moments.sbar
-    d1 = _check_nonneg(s2 - s1, "s2 - s1 must be non-negative", s2)
-    d2 = _check_nonneg(s3 - s2, "s3 - s2 must be non-negative", s3)
-    if d1 == 0:
-        return s1
-    d2 = _check_lower(d2, rpow(2, rho) * d1, "(s3 - s2) >= 2**rho * (s2 - s1)")
-    d2 = _check_upper(d2, rpow(n, rho) * d1, "(s3 - s2) <= n**rho * (s2 - s1)")
-    dd = _delta_decomposition(d1, d2, rho)
-    b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks, if n > 1
-    win = _window_origin(dd, d1, d2, a, rho, variant)
+    params = moments.params
+    values, a, rho = _arithmetic(moments, 3)
+    _require_variant(variant, params.a, params.rho)
+    s1, scale, n = values[0], values[-1], params.n_support
+    d1, d2 = _upper_three_cone(values, scale, n, rho)
+    if d1 == 0:  # all mass sits at index one
+        return _ratio(s1, scale)
     if n == 1:  # the only vector is r_1 = s1
-        return s1
+        return moments.sbar[0]
+    if variant == "refined":
+        return _window_bound("upper", 3, d1, d2, s1, scale, a, rho, n)
+    d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
+    dd = _delta_decomposition(d1, d2, rho)
+    b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks
+    win = _window_origin(dd, d1, d2, a, rho)
     if variant == "rho_ge_1_simple":
-        return s1 - _upper_term(d1, 1, win[3], win, 0 if a < rho else -1)
-    lo, hi = _POINT_OFFSETS[variant]
-    t1 = _upper_term(d1, 1 - tbar, rpow(b, a), win, lo)
-    if tbar == 0:
-        return s1 - t1
-    t2 = _upper_term(d1, tbar, rpow(b + 1, a), win, hi)
-    return s1 - t1 - t2
+        value = s1 - _upper_term(d1, 1, win[3], win, 0 if a < rho else -1)
+    else:
+        lo, hi = _POINT_OFFSETS[variant]
+        value = s1 - _upper_term(d1, 1 - tbar, rpow(b, a), win, lo)
+        if tbar != 0:
+            value = value - _upper_term(d1, tbar, rpow(b + 1, a), win, hi)
+    return _possible(value, "upper", s1, n, a)
 
 
 def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:

@@ -200,6 +200,28 @@ def test_moment_vector_validate():
         make_moments([1, Fraction(1, 2)], n=2).validate()  # s2 < s1
 
 
+def test_moment_vector_validate_runs_the_bound_checks_in_full():
+    # validate runs the bounds' cone checks, and at d1 = 0 the rest too:
+    # (1, 3, 8) at n = 3 puts all mass at n by d1, yet d2 = 1; the lower
+    # bound needs only the signs there
+    moments = make_moments([1, 3, 8], n=3)
+    with pytest.raises(MomentConsistencyError, match=re.escape("(1 > 0)")):
+        moments.validate()
+    assert lower_bound_three_moments(moments) == Fraction(1, 3)
+    # every three consecutive moments are checked, here at ell = 4
+    rng = random.Random(29)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        params = ExponentParams(rng.randint(1, 3), rng.randint(1, 2), 4, n)
+        vector = random_vector(rng, n)
+        for values in (vector, [float(v) for v in vector]):
+            moments = MomentVector.from_vector(values, params)
+            assert moments.validate() is moments
+    bad = MomentVector((1, 2, 4, 100), ExponentParams(1, 1, 4, 3))
+    with pytest.raises(MomentConsistencyError):
+        bad.validate()
+
+
 # -------------------------------------------------------- two-moment bounds
 
 
@@ -344,8 +366,8 @@ def test_exact_lower_two_error_texts(sbar, message):
 @pytest.mark.parametrize(
     "sbar, a, rho, n, lower, upper",
     [
-        ((1.5, 2.7), 1, 1, 3, 0.8999999999999999, 1.0999999999999999),
-        ((0.3, 0.71), 2, 2, 4, 0.19750000000000004, 0.274375),
+        ((1.5, 2.7), 1, 1, 3, 0.9, 1.0999999999999999),
+        ((0.3, 0.71), 2, 2, 4, 0.1975, 0.274375),
         ((0.25, 2.0), 1, 3, 2, 0.125, 0.125),
         ((0.4, 1.6), 1, 2, 5, 0.2, 0.36000000000000004),
         ((0.0, 0.0), 1, 1, 3, 0.0, 0.0),
@@ -355,8 +377,8 @@ def test_exact_lower_two_error_texts(sbar, message):
             Fraction(3, 2),
             Fraction(5, 4),
             3,
-            0.9372258248632496,
-            1.1713070184158554,
+            0.9372258248632497,
+            1.1713070184158556,
         ),
         ((0.5, 1.3), 0.7, 2.3, 6, 0.4216368583260947, 0.4905686410124644),
         (
@@ -364,14 +386,14 @@ def test_exact_lower_two_error_texts(sbar, message):
             1.5,
             0.5,
             4,
-            0.2292893218813452,
+            0.22928932188134515,
             0.27499999999999997,
         ),
     ],
 )
 def test_float_two_moment_bounds_keep_the_closed_forms(sbar, a, rho, n, lower, upper):
-    # float moments and non-integral exponents keep the closed forms: these
-    # are their doubles, bit for bit
+    # float moments and non-integral exponents keep the closed forms, summed
+    # as the window kernel's point masses: these are its doubles, bit for bit
     moments = MomentVector(sbar, ExponentParams(a, rho, 2, n))
     got_lower = lower_bound_two_moments(moments)
     got_upper = upper_bound_two_moments(moments)
@@ -584,6 +606,63 @@ def test_float_three_moment_bounds_at_one_support_point():
         upper_bound_three_moments(MomentVector((1.0, 1.5, 1.5), params))
     with pytest.raises(MomentConsistencyError, match=re.escape(">= (n**rho*s1")):
         lower_bound_three_moments(MomentVector((1.0, 0.5, 0.5), params))
+
+
+def test_impossible_float_bounds_raise():
+    # sum(r) lies in [s1/n**a, s1], so a float upper bound below s1/n**a, or
+    # a value that is not finite, is cancelled arithmetic: these vectors sum
+    # to 0.8, and the refined upper bound read 0.0 at n = 5 and three
+    # variants read -inf at n = 10
+    params = ExponentParams(120.5, 2.5, 3, 5)
+    moments = MomentVector.from_vector([0.5, 0.0, 0.0, 0.0, 0.3], params)
+    with pytest.raises(ArithmeticError, match="impossible"):
+        upper_bound_three_moments(moments)
+    params = ExponentParams(300.5, 2.5, 3, 10)
+    moments = MomentVector.from_vector([0.5] + [0.0] * 8 + [0.3], params)
+    for variant in ("refined", "a_ge_rho", "rho_ge_1_simple"):
+        with pytest.raises(ArithmeticError, match="impossible"):
+            upper_bound_three_moments(moments, variant)
+
+
+def test_float_window_snaps_a_ratio_next_to_an_integer_root():
+    # s2/s1 is one ulp below 2**1.5: the window is (2,), as at the exact
+    # ratio; taken as b = 1 it would put ~1e18 of mass on index 1
+    params = ExponentParams(120.5, 1.5, 2, 10)
+    moments = MomentVector((8.73879665915564e33, 2.4717049508397197e34), params)
+    assert lower_bound_two_moments(moments) == 0.0046487603305785125
+
+
+def test_float_refined_bounds_track_the_exact_bounds():
+    # each refined bound on the float moments of a seeded vector is within
+    # 1e-13 * max(1, s1) of the exact bound on the same floats as rationals;
+    # draws whose rounded moments leave the exact cone are skipped
+    rng = random.Random(5)
+    bounds = (
+        (2, lower_bound_two_moments),
+        (2, upper_bound_two_moments),
+        (3, lower_bound_three_moments),
+        (3, upper_bound_three_moments),
+    )
+    checked = 0
+    for _ in range(3000):
+        n, a, rho = rng.randint(2, 9), rng.choice((1, 2, 3)), rng.choice((1, 2))
+        vector = [
+            Fraction(rng.random()) if rng.random() < 0.6 else Fraction(0)
+            for _ in range(n)
+        ]
+        exact = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
+        floats = [float(s) for s in exact.sbar]
+        for ell, bound in bounds:
+            params = ExponentParams(a, rho, ell, n)
+            try:
+                want = bound(MomentVector(tuple(map(Fraction, floats[:ell])), params))
+            except MomentConsistencyError:
+                continue
+            got = bound(MomentVector(tuple(floats[:ell]), params))
+            assert type(got) is float
+            assert abs(got - float(want)) <= 1e-13 * max(1.0, floats[0])
+            checked += 1
+    assert checked > 11_000
 
 
 def test_exact_three_moment_bounds_equal_the_closed_forms():
