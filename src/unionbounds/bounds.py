@@ -22,6 +22,7 @@ safe for concurrent use.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -160,20 +161,25 @@ class MomentVector:
 
     def validate(self) -> "MomentVector":
         """Check the moment-cone inequalities any genuine vector satisfies:
-        the two-moment cone at ell = 2, else the lower and upper three-moment
-        cones of every three consecutive moments (those of the same vector at
-        exponents shifted by rho), labelled as (s1, s2, s3).
+        the two-moment cone of every two consecutive moments, then the lower
+        and upper three-moment cones of every three (the moments of the same
+        vector at exponents shifted by rho).
 
-        Raises MomentConsistencyError naming the violated inequality.
+        Raises MomentConsistencyError naming the violated inequality in the
+        moments' own indices.
         """
         values, _, rho = _arithmetic(self, self.params.ell)
         *sums, scale = values
         n = self.params.n_support
-        if len(sums) == 2:
-            _two_moment_cone(*sums, scale, n, rho)
-        for k in range(len(sums) - 2):
-            _lower_three_cone(sums[k:], scale, n, rho, strict=True)
-            _upper_three_cone(sums[k:], scale, n, rho, strict=True)
+        try:
+            for k in range(len(sums) - 1):
+                _two_moment_cone(sums[k], sums[k + 1], scale, n, rho)
+            for k in range(len(sums) - 2):
+                _lower_three_cone(sums[k:], scale, n, rho, strict=True)
+                _upper_three_cone(sums[k:], scale, n, rho, strict=True)
+        except MomentConsistencyError as exc:  # the cones name s1, s2, s3
+            text = re.sub(r"\bs(\d)", lambda m: f"s{int(m[1]) + k}", str(exc))
+            raise MomentConsistencyError(text) from None
         return self
 
 
@@ -487,9 +493,6 @@ def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     if s1 == 0:
         return _ratio(s1, scale)
     if type(scale) is int:
-        e, rest = divmod(a, rho)
-        if not rest:  # s1**(e+1) / s2**e in the integers over D
-            return Fraction(s1 ** (e + 1), s2**e * scale)
         e_hi, e_lo = Fraction(a + rho, rho), Fraction(a, rho)
         s1, s2 = Fraction(s1, scale), Fraction(s2, scale)
     else:

@@ -217,9 +217,17 @@ def test_moment_vector_validate_runs_the_bound_checks_in_full():
         for values in (vector, [float(v) for v in vector]):
             moments = MomentVector.from_vector(values, params)
             assert moments.validate() is moments
-    bad = MomentVector((1, 2, 4, 100), ExponentParams(1, 1, 4, 3))
-    with pytest.raises(MomentConsistencyError):
-        bad.validate()
+    # failures name the moments of their own window
+    for values, ell, text in [
+        # d2 = 0 < d1 = 1: only a vector all at n has d2 = 0, and then d1 = 0
+        ((1, 2, 6), 3, "(n**rho*s2 - s3) >= (n**rho*s1 - s2) (0 < 1)"),
+        # (3, 5, 9) are the moments of (1, 1, 0); (5, 9, 22) fail d2 >= d1
+        ((3, 5, 9, 22), 4, "(n**rho*s3 - s4) >= (n**rho*s2 - s3) (5 < 6)"),
+        ((1, 2, 4, 100), 4, "s4 <= n_support**rho * s3 (100 > 12)"),
+    ]:
+        bad = MomentVector(values, ExponentParams(1, 1, ell, 3))
+        with pytest.raises(MomentConsistencyError, match=re.escape(text)):
+            bad.validate()
 
 
 # -------------------------------------------------------- two-moment bounds
