@@ -12,11 +12,13 @@ integers over their common denominator when they are rational and a, rho are
 integers, else IEEE doubles. One set of cone checks per direction runs on
 those numbers (floats with a relative slack of 1e-9); only the last step
 differs: one ``Fraction``, or a float sum of the point masses that raises
-ArithmeticError when it is not finite or impossible. The simplified variants
-keep their closed forms: one term formula per direction, evaluated at
-(delta, delta+1) for "a_le_rho", (delta-1, delta) for "a_ge_rho" and the one
-point delta or delta-1 for "rho_ge_1_simple". Every function is pure and
-safe for concurrent use.
+ArithmeticError when it is not finite or impossible. Exact simplified forms
+are one Fraction of those integers where they need no root of delta: rho
+dividing a in ``lower_bound_two_moments_simple``, a = rho in
+"rho_ge_1_simple" (delta**a = d2/d1). Otherwise they keep closed forms: one
+term formula per direction, evaluated at (delta, delta+1) for "a_le_rho",
+(delta-1, delta) for "a_ge_rho" and the one point delta or delta-1 for
+"rho_ge_1_simple". Every function is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -483,9 +485,10 @@ def lower_bound_two_moments(moments: MomentVector) -> Number:
 def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     """Window-free two-moment lower bound.
 
-    s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1; for rho < 1 the same value
-    scaled by (1 - theta_refined)/(1 - theta). Never exceeds the refined
-    two-moment bound on the same moments.
+    s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1, the one Fraction
+    S1**(e+1) / (S2**e * D) of exact moments S_k/D when e = a/rho is an
+    integer; for rho < 1 the same value scaled by (1 - theta_refined)/(1 -
+    theta). Never exceeds the refined two-moment bound on the same moments.
     """
     (s1, s2, scale), a, rho = _arithmetic(moments, 2)
     n = moments.params.n_support
@@ -493,6 +496,8 @@ def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     if s1 == 0:
         return _ratio(s1, scale)
     if type(scale) is int:
+        if a % rho == 0:  # (S1/D)**(e+1) / (S2/D)**e, e = a/rho, in the integers
+            return Fraction(s1 ** (a // rho + 1), s2 ** (a // rho) * scale)
         e_hi, e_lo = Fraction(a + rho, rho), Fraction(a, rho)
         s1, s2 = Fraction(s1, scale), Fraction(s2, scale)
     else:
@@ -593,6 +598,8 @@ def lower_bound_three_moments(
         return moments.sbar[0]
     if variant == "refined":
         return _window_bound("lower", 3, d1, d2, s1, scale, a, rho, n)
+    if variant == "rho_ge_1_simple" and a == rho and type(scale) is int:
+        return Fraction(d1 * d1 + s1 * d2, n**a * d2 * scale)  # d1/(n**a*delta**a)
     d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
     n_a, n_rho = n**a, n**rho
     dd = _delta_decomposition(d1, d2, rho)
@@ -656,6 +663,8 @@ def upper_bound_three_moments(
         return moments.sbar[0]
     if variant == "refined":
         return _window_bound("upper", 3, d1, d2, s1, scale, a, rho, n)
+    if variant == "rho_ge_1_simple" and a == rho and type(scale) is int:
+        return Fraction(s1 * d2 - d1 * d1, d2 * scale)  # s1 - d1/delta**a
     d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
     dd = _delta_decomposition(d1, d2, rho)
     b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks

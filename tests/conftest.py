@@ -415,7 +415,13 @@ def _simplified_terms(variant: str, d1, d2, a, rho) -> list[tuple]:
     if variant == "a_ge_rho":
         return [(1 - tbar, delta - 1, b**a), (tbar, delta, (b + 1) ** a)]
     assert variant == "rho_ge_1_simple"
-    return [(1, delta if a < rho else delta - 1, delta**a)]
+    big_b = ratio if a == rho else delta**a  # delta**rho is d2/d1 exactly
+    return [(1, delta if a < rho else delta - 1, big_b)]
+
+
+def _power_quotient(top, x, a, rho):
+    """(top**a - x**a) / (top**rho - x**rho), exactly one at a = rho."""
+    return 1 if a == rho else (top**a - x**a) / (top**rho - x**rho)
 
 
 def closed_form_lower_simple(moments, variant: str):
@@ -430,7 +436,7 @@ def closed_form_lower_simple(moments, variant: str):
         return total
     for w, x, big_b in _simplified_terms(variant, d1, d2, a, rho):
         if w:
-            total += d1 * w * (n**a - x**a) / (n**a * big_b * (n**rho - x**rho))
+            total += d1 * w * _power_quotient(n, x, a, rho) / (n**a * big_b)
     return total
 
 
@@ -449,7 +455,7 @@ def closed_form_upper_simple(moments, variant: str):
             if x == 1:
                 ratio = Fraction(a) / Fraction(rho)
             else:
-                ratio = (x**a - 1) / (x**rho - 1)
+                ratio = _power_quotient(x, 1, a, rho)
             total -= d1 * w * ratio / big_b
     return total
 

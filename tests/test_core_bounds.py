@@ -467,10 +467,36 @@ def test_lower_two_simple_rho_below_one_correction():
 
 
 def test_lower_two_simple_exact_integer_exponent_ratio():
-    moments = make_moments([Fraction(3, 2), Fraction(27, 10)])
-    value = lower_bound_two_moments_simple(moments)
-    assert value == Fraction(3, 2) ** 2 / Fraction(27, 10)
-    assert isinstance(value, Fraction)
+    # rho divides a: s1**(e+1) / s2**e with e = a/rho, one exact Fraction
+    s1, s2 = Fraction(3, 2), Fraction(27, 10)
+    for a, rho in ((1, 1), (2, 1), (3, 1), (2, 2), (4, 2), (3, 3)):
+        value = lower_bound_two_moments_simple(make_moments([s1, s2], a, rho))
+        e = a // rho
+        assert type(value) is Fraction and value == s1 ** (e + 1) / s2**e
+    # rho does not divide a: float powers, pinned bit for bit
+    pins = ((1, 2, "0x1.1e3779b97f4a8p+0"), (3, 2, "0x1.3e04c02370fd6p-1"))
+    for a, rho, bits in pins:
+        value = lower_bound_two_moments_simple(make_moments([s1, s2], a, rho))
+        assert type(value) is float and value.hex() == bits
+
+
+def test_simplified_bounds_degenerate_returns_keep_value_and_type():
+    # s1 = 0, all mass at the top index (lower d1 = 0) or at index one
+    # (upper d1 = 0), and n = 1, on exact and float moments
+    for zero in (Fraction(0), 0.0):
+        value = lower_bound_two_moments_simple(make_moments([zero, zero]))
+        assert type(value) is type(zero) and value == 0
+    for scale in (Fraction(1, 3), 1 / 3):
+        at_top = MomentVector.from_vector([0, 0, scale], ExponentParams(2, 2, 3, 3))
+        value = lower_bound_three_moments(at_top, "rho_ge_1_simple")
+        assert type(value) is type(scale) and value == scale
+        at_one = MomentVector.from_vector([scale, 0, 0], ExponentParams(2, 2, 3, 3))
+        value = upper_bound_three_moments(at_one, "rho_ge_1_simple")
+        assert type(value) is type(scale) and value == scale
+        single = make_moments([scale] * 3, 2, 2, n=1)
+        for bound in (lower_bound_three_moments, upper_bound_three_moments):
+            value = bound(single, "rho_ge_1_simple")
+            assert type(value) is type(scale) and value == scale
 
 
 # ------------------------------------------------------ three-moment bounds
@@ -857,6 +883,10 @@ def test_simplified_variants_equal_their_closed_forms():
     # (n >= 3 there: at n = 2 the float delta sits on an integer, which the
     # library snaps and the oracle does not)
     rng = random.Random(61)
+    pairs = (
+        (lower_bound_three_moments, closed_form_lower_simple),
+        (upper_bound_three_moments, closed_form_upper_simple),
+    )
     checked = set()
     for trial in range(240):
         n = rng.randint(2 + trial % 2, 9)
@@ -868,10 +898,7 @@ def test_simplified_variants_equal_their_closed_forms():
             vector = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
         moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
         for variant in _simplified_variants(a, rho):
-            for bound, oracle in (
-                (lower_bound_three_moments, closed_form_lower_simple),
-                (upper_bound_three_moments, closed_form_upper_simple),
-            ):
+            for bound, oracle in pairs:
                 got, want = bound(moments, variant), oracle(moments, variant)
                 if moments.exact:
                     assert type(got) is Fraction and got == want
@@ -879,6 +906,15 @@ def test_simplified_variants_equal_their_closed_forms():
                     assert math.isclose(got, want, rel_tol=1e-12)
                 checked.add((variant, moments.exact))
     assert len(checked) == 6
+    # exact at a = rho > 1 too, where delta is irrational but delta**a = d2/d1
+    for trial in range(60):
+        n, rho = rng.randint(2, 9), 2 + trial % 2
+        vector = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n)]
+        moments = MomentVector.from_vector(vector, ExponentParams(rho, rho, 3, n))
+        for bound, oracle in pairs:
+            got = bound(moments, "rho_ge_1_simple")
+            assert type(got) is Fraction
+            assert got == oracle(moments, "rho_ge_1_simple")
 
 
 # ------------------------------------------------------------ general engine

@@ -8,6 +8,7 @@ from functools import partial
 
 import pytest
 
+import unionbounds.bounds as bounds_module
 import unionbounds.unions as unions_module
 from conftest import (
     moment_vector_row,
@@ -94,6 +95,19 @@ def test_dominance_kat_over_de_caen_over_nothing():
     for system in sample_systems(40, seed=107):
         assert union_bound(system, "kat") >= union_bound(system, "de_caen")
         assert union_bound(system, "kat") <= exact_union_probability(system)
+
+
+def test_exact_classic_and_paper_rows_need_no_delta_and_no_rpow(monkeypatch):
+    # at (1,1) the simplified rows (chung_erdos, de_caen and the paper's
+    # three-moment form) are one integer fraction each on exact input
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on an exact (1,1) row")
+
+    monkeypatch.setattr(bounds_module, "_delta_decomposition", refuse)
+    monkeypatch.setattr(bounds_module, "rpow", refuse)
+    for system in sample_systems(40, seed=131):
+        report = compare_bounds(system, 1, 1)
+        assert all(e.passed and e.arithmetic == "rational" for e in report.entries)
 
 
 def test_holder_union_bound_values(s2):
