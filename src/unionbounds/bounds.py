@@ -7,9 +7,11 @@ arbitrary non-negative feature rows with an explicit sign certificate.
 
 Each refined bound is the total mass of the vector that matches the moments
 on its index window, and one kernel, ``_window_bound``, computes it for exact
-and float input alike. The arithmetic is fixed once at entry: the moments as
-integers over their common denominator when they are rational and a, rho are
-integers, else IEEE doubles. One set of cone checks per direction runs on
+and float input alike. The arithmetic is fixed once per moment vector and
+kept on it: the moments as integers over their common denominator when they
+are rational and a, rho are integers (``ExponentParams`` finds that once),
+else IEEE doubles. A report row's vectors are built in that arithmetic
+already (``_ScaledMoments``). One set of cone checks per direction runs on
 those numbers (floats with a relative slack of 1e-9); only the last step
 differs: one ``Fraction``, or a float sum of the point masses that raises
 ArithmeticError when it is not finite or impossible. Exact simplified forms
@@ -28,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._numeric import (
     Number,
@@ -65,6 +67,12 @@ def _finite(x: Number) -> bool:
     return not isinstance(x, float) or math.isfinite(x)
 
 
+def _require_finite(values: Iterable[float]) -> None:
+    """Raise ValueError if a float among ``values`` is NaN or infinite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("moments must be finite")
+
+
 @dataclass(frozen=True)
 class ExponentParams:
     """Exponent family a + (k-1)*rho, k = 1..ell, over support 1..n_support."""
@@ -93,10 +101,13 @@ class ExponentParams:
 
     @property
     def is_integral(self) -> bool:
-        return (
-            integral_value(self.a) is not None
-            and integral_value(self.rho) is not None
-        )
+        return self._integral is not None
+
+    @cached_property
+    def _integral(self) -> tuple[int, int] | None:
+        """(a, rho) as ints when both are integral, else None; computed once."""
+        a, rho = integral_value(self.a), integral_value(self.rho)
+        return None if a is None or rho is None else (a, rho)
 
     @property
     def exponents(self) -> tuple[Number, ...]:
@@ -122,8 +133,8 @@ class MomentVector:
         for value in values:
             if isinstance(value, int):  # so no exact bound divides int by int
                 value = Fraction(value)
-            elif not _finite(value):
-                raise ValueError("moments must be finite")
+            elif isinstance(value, float):
+                _require_finite((value,))
             if value < 0:
                 raise ValueError("moments must be non-negative")
             sbar.append(value)
@@ -134,9 +145,12 @@ class MomentVector:
         return self.params.is_integral and all_exact(*self.sbar)
 
     @cached_property
-    def _integers(self) -> Sequence[int]:
-        """Exact moments as integers over their least common denominator L:
-        [S1, ..., S_ell, L]."""
+    def _values(self) -> Sequence[Number]:
+        """The moments in the arithmetic the bounds run in, fixed once: on
+        exact input the integers [S1, ..., S_ell, L] over their least common
+        denominator L, else the floats [s1, ..., s_ell, 1.0]."""
+        if not self.exact:
+            return [*map(float, self.sbar), 1.0]
         scale = math.lcm(*(s.denominator for s in self.sbar))
         return [s.numerator * (scale // s.denominator) for s in self.sbar] + [scale]
 
@@ -186,21 +200,20 @@ class MomentVector:
 
 
 class _ScaledMoments(MomentVector):
-    """Moments S_1/D, ..., S_ell/D at integral a and rho, held as the
-    integers (S_1, ..., S_ell, D), of a vector non-negative by construction
-    (a report row's). They skip the checks of ``MomentVector``: the bounds
-    run their cone checks on the integers, and sbar is built only when
-    read."""
+    """A report row's moments S_k/D held as (S_1, ..., S_ell, D) in the
+    arithmetic the bounds run in: integers at integral a and rho, else floats
+    over D = 1.0. Non-negative by construction, they skip the checks of
+    ``MomentVector``: the bounds run their cone checks on these numbers,
+    ``unions._moment_vectors`` checks a float row for finiteness once, and
+    sbar is lazy."""
 
-    exact = True
-
-    def __init__(self, integers: tuple[int, ...], params: ExponentParams) -> None:
-        self.__dict__.update(_integers=integers, params=params)
+    def __init__(self, values: tuple[Number, ...], params: ExponentParams) -> None:
+        self.__dict__.update(_values=values, params=params)
 
     @cached_property
-    def sbar(self) -> tuple[Fraction, ...]:  # type: ignore[override]
-        *sums, denominator = self._integers
-        return tuple(Fraction(s, denominator) for s in sums)
+    def sbar(self) -> tuple[Number, ...]:  # type: ignore[override]
+        *sums, d = self._values
+        return tuple(sums if type(d) is float else (Fraction(s, d) for s in sums))
 
 
 @dataclass(frozen=True)
@@ -237,15 +250,16 @@ def _zero_like(*values: Number) -> Number:
 
 def _arithmetic(moments: MomentVector, ell: int) -> tuple[Sequence, Number, Number]:
     """(values, a, rho) of an ell-moment bound, in the arithmetic it runs in,
-    fixed once: the integers (S_1, ..., S_ell, D) of the moments S_k/D with
-    integral a and rho on exact input, else the floats (s_1, ..., s_ell, 1.0)
-    with float a and rho."""
+    fixed once per vector (``_values``): the integers (S_1, ..., S_ell, D) of
+    the moments S_k/D with integral a and rho on exact input, else the floats
+    (s_1, ..., s_ell, 1.0) with float a and rho."""
     params = moments.params
     if params.ell != ell:
         raise ValueError(f"this bound needs exactly {ell} moments")
-    if moments.exact:
-        return moments._integers, integral_value(params.a), integral_value(params.rho)
-    return [*map(float, moments.sbar), 1.0], float(params.a), float(params.rho)
+    values = moments._values
+    if type(values[-1]) is int:
+        return values, *params._integral
+    return values, float(params.a), float(params.rho)
 
 
 def _ratio(value: Number, denominator: Number) -> Number:
@@ -367,8 +381,8 @@ def _delta_decomposition(
             )
         zero = _zero_like(s_lo, s_hi)
         return _DeltaDecomposition(zero, zero, zero, 0)
-    rho_int = integral_value(rho)
-    if rho_int is not None and all_exact(s_lo, s_hi):
+    rho_int = integral_value(rho) if all_exact(s_lo, s_hi) else None
+    if rho_int is not None:
         ratio = Fraction(s_hi) / Fraction(s_lo)
         base = floor_root(ratio, rho_int)
         refined = (ratio - base**rho_int) / (

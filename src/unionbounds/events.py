@@ -175,21 +175,29 @@ def occupancy_profile(system: EventSystem) -> OccupancyProfile:
 def power_moments(system: EventSystem, k: Number) -> Number:
     """alpha_k = E xi**k where xi counts how many events occur.
 
-    Exact for an integral k. Any other positive finite k gives a float,
-    summed over the occupied levels in level order. This is the one place
-    the library sums i**k * P(xi = i).
+    Exact for an integral k, from ``_level_sums``. Any other positive finite
+    k gives a float, summed over the occupied levels in level order. These
+    are the one place the library sums i**k * P(xi = i).
     """
     if isinstance(k, bool) or not isinstance(k, Real) or not 0 < k < math.inf:
         raise ValueError(f"k must be a positive finite number, got {k!r}")
-    denominator, levels, _ = system.joint_table
     e = integral_value(k)
     if e is not None:
-        return Fraction(sum(i**e * v for i, v in enumerate(levels)), denominator)
+        return Fraction(*_level_sums(system, (e,)))
+    denominator, levels, _ = system.joint_table
     total: Number = Fraction(0)
     for i, v in enumerate(levels):
         if i and v:
             total = total + rpow(i, k) * (v / denominator)
     return total
+
+
+def _level_sums(system: EventSystem, exponents: Iterable[int]) -> tuple[int, ...]:
+    """(S_1, ..., S_m, D) with S_j = D * E xi**e_j for positive integer
+    exponents e_j: integer sums over the joint table's denominator D."""
+    denominator, levels, _ = system.joint_table
+    occupied = [(i, v) for i, v in enumerate(levels) if i and v]
+    return (*(sum(i**e * v for i, v in occupied) for e in exponents), denominator)
 
 
 @dataclass(frozen=True)

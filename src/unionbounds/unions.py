@@ -13,9 +13,11 @@ entry instead of aborting the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Iterable
 
 from ._numeric import Number, is_exact
@@ -24,6 +26,7 @@ from .bounds import (
     MomentVector,
     _FLOAT_SLACK,
     _ScaledMoments,
+    _require_finite,
     holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
@@ -33,6 +36,7 @@ from .bounds import (
 )
 from .events import (
     EventSystem,
+    _level_sums,
     exact_union_probability,
     per_event_moments,
     power_moments,
@@ -114,45 +118,54 @@ def _moment_vectors(
     rho: Number,
     ell: int,
     cache: dict,
-) -> tuple[list, dict]:
-    """(keys in order, key -> MomentVector) for the statistic's vectors.
+) -> tuple[list, dict, Number]:
+    """(keys in order, key -> moment vector, D) for the statistic's vectors.
 
     The occupancy statistic has one vector, under the key None. The
     per-event statistic has one key per event of positive probability, its
     moments (S1, S2, S3), so events with equal moments share one vector and
-    one scalar-bound call even when their joint rows differ. At integral a
-    and rho they are integer sums over the joint table's denominator D, and
-    a vector reaches the bounds as (S1, ..., S_ell, D): no Fraction, no
-    repeated check. The ell = 3 moments are computed once per
+    one scalar-bound call even when their joint rows differ. Each row's
+    arithmetic is fixed here, once: a vector reaches the bounds as
+    (S1, ..., S_ell, D), the integer sums over the joint table's
+    denominator D at integral a and rho, else floats over D = 1.0, checked
+    for finiteness once per row. The ell = 3 moments are computed once per
     (statistic, a, rho) and kept in ``cache``; ell = 2 takes their prefix.
     """
     key = (statistic, a, rho, ell)
     if key not in cache:
-        params = ExponentParams(a, rho, ell, system.n_events)
+        params = cache.get((a, rho, ell))
+        if params is None:  # one per (a, rho, ell): it caches integral a, rho
+            params = cache[(a, rho, ell)] = ExponentParams(a, rho, ell, system.n_events)
         moments = cache.get((statistic, a, rho))
         if moments is None:
-            if statistic == "occupancy":
-                sbar = occupancy_moment_vector(system, a, rho, 3).sbar
-                moments = [None], {None: sbar}, None
-            else:
+            if statistic == "per_event":
                 stat = per_event_moments(system, a, rho, ell=3)
                 order = [m for m in zip(*stat._sums) if m[0] != 0]
-                moments = order, {m: m for m in order}, stat._denominator
+                moments = order, {m: m for m in order}, stat._denominator or 1.0
+            elif params.is_integral:
+                i, j = params._integral
+                *sums, d = _level_sums(system, (i, i + j, i + 2 * j))
+                moments = [None], {None: tuple(sums)}, d
+            else:  # the public vector, checked on construction
+                sbar = occupancy_moment_vector(system, a, rho, 3).sbar
+                moments = [None], {None: tuple(map(float, sbar))}, 1.0
             cache[(statistic, a, rho)] = moments
         order, distinct, d = moments
-        cache[key] = order, {
-            k: MomentVector(m[:ell], params)
-            if d is None
-            else _ScaledMoments(m[:ell] + (d,), params)
-            for k, m in distinct.items()
+        vectors = {
+            k: _ScaledMoments(m[:ell] + (d,), params) for k, m in distinct.items()
         }
+        if type(d) is float:  # integer sums are finite
+            _require_finite(chain.from_iterable(v._values for v in vectors.values()))
+        cache[key] = order, vectors, d
     return cache[key]
 
 
 def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     """The row's scalar bound, looked up at call time, summed over the
     statistic's moment vectors: once per distinct vector, and once per
-    system object for each row key."""
+    system object for each row key. Integer rows add up as integers over the
+    lcm of the values' denominators, float rows left to right in event
+    order."""
     memo = system.row_values
     if key in memo:
         return memo[key]
@@ -168,11 +181,15 @@ def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
         bound = lower_bound_two_moments_simple
     else:
         bound = lower_bound_two_moments
-    order, vectors = _moment_vectors(system, statistic, a, rho, ell, cache)
+    order, vectors, d = _moment_vectors(system, statistic, a, rho, ell, cache)
     values = {k: bound(m) for k, m in vectors.items()}
     total: Number
     if statistic == "occupancy":
         total = values[None]
+    elif type(d) is int:  # exact values: one Fraction over their lcm
+        scale = math.lcm(*(v.denominator for v in values.values()))
+        scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+        total = Fraction(sum(map(scaled.__getitem__, order)), scale)
     else:
         total = Fraction(0)  # the per-event bounds add up, in event order
         for k in order:

@@ -24,8 +24,8 @@ from unionbounds import (
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
-    occupancy_moment_vector,
     per_event_moments,
+    power_moments,
     random_system,
     upper_bound_three_moments,
     upper_bound_two_moments,
@@ -493,8 +493,9 @@ def sample_systems(
 
 def moment_vector_row(system: EventSystem, name: str, a, rho):
     """Report row ``name`` evaluated on public, checked MomentVectors: the
-    scalar bound on the occupancy vector, or summed in event order over the
-    per-event columns of ``per_event_moments(...).sbar`` of positive mass."""
+    scalar bound on the occupancy vector of ``power_moments`` values, or
+    summed in event order over the per-event columns of
+    ``per_event_moments(...).sbar`` of positive mass."""
     kind, statistic, ell, variant, a, rho = _row_key(name, a, rho)
     if ell == 3:
         three = {"lower": lower_bound_three_moments, "upper": upper_bound_three_moments}
@@ -505,9 +506,10 @@ def moment_vector_row(system: EventSystem, name: str, a, rho):
         bound = lower_bound_two_moments_simple
     else:
         bound = lower_bound_two_moments
-    if statistic == "occupancy":
-        return bound(occupancy_moment_vector(system, a, rho, ell))
     params = ExponentParams(a, rho, ell, system.n_events)
+    if statistic == "occupancy":
+        sbar = tuple(power_moments(system, e) for e in params.exponents)
+        return bound(MomentVector(sbar, params))
     total = Fraction(0)
     for column in zip(*per_event_moments(system, a, rho, ell=3).sbar):
         if column[0] != 0:

@@ -36,3 +36,27 @@ def test_traced_model_methods_resolve(class_name):
     cls = getattr(importlib.import_module("unionbounds.borel_cantelli"), class_name)
     for method, _ in LAYERS.MODEL_METHODS:
         assert callable(getattr(cls, method, None)), f"{class_name}.{method}"
+
+
+# Imported by unions only so that the tracer finds them by name; the report
+# never calls them.
+UNCALLED = {"occupancy_profile", "rpow"}
+
+
+def test_traced_report_names_are_called(monkeypatch):
+    from unionbounds import EventSystem, random_system
+
+    unions = importlib.import_module("unionbounds.unions")
+    names = {a for m, a, _ in LAYERS.FUNCTION_PATCHES if m == "unionbounds.unions"}
+    calls = dict.fromkeys(sorted(names - UNCALLED), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _call=getattr(unions, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(unions, name, counted)
+    system = random_system(3, 6, 30, "dense")
+    for a, rho in ((2, 1), (1.5, 1.25)):  # one exact and one float section
+        unions.compare_bounds(EventSystem(system.weights, system.events), a, rho)
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -1,6 +1,7 @@
 """Tests for the union-bound layer: worked constants, identities between the
 classic comparators and the moment bounds, and the report harness."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -400,7 +401,7 @@ def test_equal_moment_vectors_share_one_bound_call(monkeypatch):
 
         def logged(moments, name=name, bound=getattr(unions_module, name), **kwargs):
             # each vector arrives as integers over the table's denominator
-            calls.append((name, moments.params.a, moments._integers[-1]))
+            calls.append((name, moments.params.a, moments._values[-1]))
             return bound(moments, **kwargs)
 
         monkeypatch.setattr(unions_module, name, logged)
@@ -418,10 +419,40 @@ def test_equal_moment_vectors_share_one_bound_call(monkeypatch):
     assert calls == expected
 
 
+def _assert_matches_moment_vector_row(entry, system, a, rho):
+    """The report entry has the value bits, type and error text of the same
+    row on public, checked MomentVectors (conftest.moment_vector_row)."""
+    try:
+        expected = moment_vector_row(system, entry.name, a, rho)
+    except (ValueError, ArithmeticError) as exc:
+        assert entry.error == f"{type(exc).__name__}: {exc}", entry.name
+        return
+    assert entry.error is None, (entry.name, entry.error)
+    assert type(entry.value) is type(expected), entry.name
+    if isinstance(expected, float):
+        assert entry.arithmetic == "float"
+        assert entry.value.hex() == expected.hex(), entry.name
+    else:
+        assert entry.arithmetic == "rational" and entry.value == expected
+
+
 # (1,1) rows run simplified closed forms, the others the integer kernels;
-# 2.0 and Fraction(2) are integral exponents and take the integer rows too
+# 2.0 and Fraction(2) are integral exponents and take the integer rows too.
+# The float sections reach the float kernels, and at (300.5, 2.5) most rows
+# fail with the oracle's error text.
 @pytest.mark.parametrize(
-    "a, rho", [(1, 1), (2, 1), (1, 2), (3, 2), (2.0, 1), (Fraction(2), 1)]
+    "a, rho",
+    [
+        (1, 1),
+        (2, 1),
+        (1, 2),
+        (3, 2),
+        (2.0, 1),
+        (Fraction(2), 1),
+        (1.5, 1.25),
+        (120.5, 1.5),
+        (300.5, 2.5),
+    ],
 )
 def test_integer_rows_equal_the_moment_vector_rows(a, rho):
     rng = random.Random(311)
@@ -430,34 +461,75 @@ def test_integer_rows_equal_the_moment_vector_rows(a, rho):
         seed, n_events = rng.randrange(2**31), rng.randint(2, 10)
         system = random_system(seed, n_events, rng.randint(2, 60), profiles[i % 3])
         for entry in compare_bounds(system, a, rho).entries:
-            try:
-                expected = moment_vector_row(system, entry.name, a, rho)
-            except (ValueError, ArithmeticError) as exc:
-                assert entry.error == f"{type(exc).__name__}: {exc}"
-                continue
-            assert entry.error is None and entry.arithmetic == "rational"
-            assert type(entry.value) is type(expected) and entry.value == expected
+            _assert_matches_moment_vector_row(entry, system, a, rho)
 
 
 def test_float_section_totals_are_event_order_sums():
     system = random_system(24, 60, 40, "sparse")
     rows = _positive_rows(system)
     assert len(set(rows)) < len(rows)  # shared rows, where a regrouped sum rounds apart
-    a, rho = 1.5, 1.25
-    columns = list(zip(*per_event_moments(system, a, rho, ell=3).sbar))
-    upper_three = partial(upper_bound_three_moments, variant="refined")
-    for name, bound, ell in (
-        ("per_event_lower_two", lower_bound_two_moments, 2),
-        ("per_event_upper_three", upper_three, 3),
-    ):
-        params = ExponentParams(a, rho, ell, system.n_events)
-        total = Fraction(0)
-        for moments in columns:
-            if moments[0] != 0:
-                total = total + bound(MomentVector(moments[:ell], params))
-        value = union_bound(system, name, a, rho)
-        assert type(value) is float
-        assert value == total
+    small = random_system(37, 10, 30, "sparse")  # levels low enough for (300.5, 2.5)
+    assert len(set(_positive_rows(small))) < len(_positive_rows(small))
+    for a, rho in ((1.5, 1.25), (120.5, 1.5), (300.5, 2.5)):
+        for s in (system, small):
+            report = compare_bounds(EventSystem(s.weights, s.events), a, rho)
+            for entry in report.entries:
+                if entry.name.startswith(("per_event", "occupancy")):
+                    _assert_matches_moment_vector_row(entry, s, a, rho)
+
+
+def test_report_rows_decide_their_arithmetic_once(monkeypatch):
+    system = random_system(29, 40, 120, "sparse")
+    assert len(set(_positive_rows(system))) > 20  # many per-event bound calls
+    occupancy = occupancy_moment_vector(system, 1.5, 1.25, 3)
+    integral_calls, checked = [], []
+    integral_value = bounds_module.integral_value
+    post_init = MomentVector.__post_init__
+
+    def counted_integral(x):
+        integral_calls.append(x)
+        return integral_value(x)
+
+    def recorded_post_init(self):
+        post_init(self)
+        checked.append(self)
+
+    monkeypatch.setattr(bounds_module, "integral_value", counted_integral)
+    monkeypatch.setattr(MomentVector, "__post_init__", recorded_post_init)
+    for (a, rho), vectors in (((2, 1), []), ((1.5, 1.25), [occupancy])):
+        integral_calls.clear()
+        checked.clear()
+        report = compare_bounds(EventSystem(system.weights, system.events), a, rho)
+        assert report.all_pass
+        row_keys = {unions_module._row_key(name, a, rho) for name in BOUND_NAMES}
+        assert len(integral_calls) <= len(row_keys)
+        assert checked == vectors  # only the public float occupancy vector
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_float_row_with_a_non_finite_moment_fails_its_entries(monkeypatch, bad):
+    system = random_system(29, 40, 120, "sparse")
+    per_event, power = unions_module.per_event_moments, unions_module.power_moments
+
+    def patched_per_event(system, a, rho, ell=3):
+        stat = per_event(system, a, rho, ell)
+        if stat._denominator is not None:
+            return stat
+        s1, s2, s3 = map(list, stat._sums)
+        s2[next(k for k, mass in enumerate(s1) if mass)] = bad
+        return dataclasses.replace(stat, _sums=(tuple(s1), tuple(s2), tuple(s3)))
+
+    monkeypatch.setattr(unions_module, "per_event_moments", patched_per_event)
+    monkeypatch.setattr(
+        unions_module, "power_moments", lambda s, k: bad if k == 4.0 else power(s, k)
+    )
+    report = compare_bounds(system, 1.5, 1.25)
+    for entry in report.entries:
+        if entry.name in ("chung_erdos", "de_caen", "kat"):  # exact (1,1) rows
+            assert entry.passed
+        else:
+            assert not entry.passed and entry.value is None
+            assert entry.error == "ValueError: moments must be finite"
 
 
 def test_public_surface_resolves():
