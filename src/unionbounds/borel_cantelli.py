@@ -9,13 +9,14 @@ diagnostics that drive convergence, and the Kochen-Stone ratio.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
 from typing import Callable, Iterable, Protocol, Sequence, Union
 
 from ._numeric import Number, balanced_sum, is_exact
-from .events import EventSystem, per_event_moments, power_moments
+from .events import EventSystem, per_event_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
 Row = tuple[Number, Number, Number]  # (P(A_k), E X I_k, E X**2 I_k)
@@ -27,10 +28,12 @@ class SequenceModel(Protocol):
 
     window_moments(m, n) returns the rows (P(A_k), E X I_k, E X**2 I_k) of
     the window m..n as runs of equal consecutive rows, in k order:
-    [((p, e1, e2), count), ...], the counts adding up to n - m + 1. The
-    estimators compute each run's terms once and weight them by its count,
-    so a window of one repeated row costs the same at every width.
-    alpha_moments(n) returns (E X, E X**2) for X counting A_1..A_n.
+    [((p, e1, e2), count), ...], the counts adding up to n - m + 1, or []
+    for m > n; an index outside 1..horizon raises ValueError. The estimators
+    compute each run's terms once and weight them by its count, so a window
+    of one repeated row costs the same at every width. These runs are all a
+    model supplies: its alpha_moments(n), (E X, E X**2) for X counting
+    A_1..A_n, is the module's _alpha_moments, which sums them.
     """
 
     horizon: int | None
@@ -49,9 +52,51 @@ def _as_probability(value: ProbabilityLike) -> Number:
     return p
 
 
+def _check_indices(horizon: int | None, m: int, n: int) -> None:
+    """Raise for the first index of m..n outside 1..horizon, if any."""
+    if m < 1 or (horizon is not None and n > horizon):
+        first = m if m < 1 else max(m, horizon + 1)
+        raise ValueError(f"event index {first} outside the model horizon")
+
+
 def _runs(values: Iterable) -> list:
     """Runs of equal consecutive values as [(value, count), ...]."""
     return [(value, sum(1 for _ in group)) for value, group in groupby(values)]
+
+
+def _total(runs: list[tuple[Number, int]]) -> Number:
+    """The sum of count * term over the runs, added in a balanced tree."""
+    terms = [term if count == 1 else term * count for term, count in runs]
+    return balanced_sum(terms, Fraction(0))
+
+
+def _window(model: SequenceModel, m: int, n: int) -> Runs:
+    """model.window_moments(m, n), kept for the rest of its horizon row.
+
+    The model keeps the runs of every window m..n of its latest horizon n, by
+    m, and a new n drops them. So the lower estimate, the upper estimate and
+    the Kochen-Stone moments of one horizon row build each window once, and
+    a grid holds one row's runs. Models are read as fixed once made; one
+    that takes no new attributes is served uncached.
+    """
+    row, windows = getattr(model, "_row_windows", (None, {}))
+    if row != n:
+        windows = {}
+        with suppress(AttributeError):
+            model._row_windows = (n, windows)  # type: ignore[attr-defined]
+    if m not in windows:
+        windows[m] = model.window_moments(m, n)
+    return windows[m]
+
+
+def _alpha_moments(model: SequenceModel, n: int) -> tuple[Number, Number]:
+    """(E X, E X**2) for X counting A_1..A_n: as X**2 = sum_k X I_k, these
+    are the sums of P(A_k) and of E X I_k over the rows of the window 1..n."""
+    if n < 1:
+        return 0, 0
+    runs = _window(model, 1, n)
+    p, e1 = (_total([(row[j], count) for row, count in runs]) for j in (0, 1))
+    return p, e1
 
 
 @dataclass(frozen=True)
@@ -73,45 +118,23 @@ class BCEstimate:
 
 
 class ExplicitSequence:
-    """The events of a finite system, taken in their listed order.
-
-    The window systems of the latest horizon n are kept until n changes, so
-    the lower and upper estimates and the Kochen-Stone ratio of one horizon
-    share one statistics pass over its atoms, and a grid holds one row's.
-    """
+    """The events of a finite system, taken in their listed order."""
 
     def __init__(self, system: EventSystem):
         if system.n_events == 0:
             raise ValueError("the system has no events")
         self.system = system
         self.horizon: int | None = system.n_events
-        self._row = 0  # the horizon n whose window systems are kept
-        self._windows: dict[int, EventSystem] = {}  # m -> the system of m..n
-
-    def _window_system(self, m: int, n: int) -> EventSystem:
-        """The subsystem of events m..n."""
-        if self._row != n:
-            self._row, self._windows = n, {}
-        system = self._windows.get(m)
-        if system is None:
-            if m == 1:
-                system = self.system.prefix(n)
-            else:
-                system = EventSystem(self.system.weights, self.system.events[m - 1 : n])
-            self._windows[m] = system
-        return system
-
-    def prefix_system(self, n: int) -> EventSystem:
-        return self._window_system(1, n)
 
     def window_moments(self, m: int, n: int) -> Runs:
+        if m > n:
+            return []
+        _check_indices(self.horizon, m, n)
+        window = EventSystem(self.system.weights, self.system.events[m - 1 : n])
         # (p, e1, e2) are the per-event moments sbar_0..sbar_2 at a = rho = 1.
-        moments = per_event_moments(self._window_system(m, n), 1, 1, ell=3)
-        return _runs(zip(*moments.sbar))
+        return _runs(zip(*per_event_moments(window, 1, 1, ell=3).sbar))
 
-    def alpha_moments(self, n: int) -> tuple[Number, Number]:
-        prefix = self.prefix_system(n)
-        return power_moments(prefix, 1), power_moments(prefix, 2)
+    alpha_moments = _alpha_moments
 
 
 class IndependentSequence:
@@ -157,14 +180,8 @@ class IndependentSequence:
         self._restart(1)
 
     def probability(self, k: int) -> Number:
-        if k < 1 or (self.horizon is not None and k > self.horizon):
-            raise ValueError(f"event index {k} outside the model horizon")
+        _check_indices(self.horizon, k, k)
         return self._fn(k)
-
-    def _check_indices(self, m: int, n: int) -> None:
-        """Raise for the first index of m..n outside the horizon, if any."""
-        self.probability(m)
-        self.probability(n if self.horizon is None else min(n, self.horizon + 1))
 
     def _restart(self, lo: int) -> None:
         # the evaluated block p_lo, p_lo+1, ... with prefix sums over it: of
@@ -195,19 +212,6 @@ class IndependentSequence:
             self._append(self.probability(k))
         return m - self._lo, n - self._lo + 1
 
-    def _sums(self, i: int, j: int) -> tuple[Number, Number]:
-        """Sums of p and p**2 over the block offsets i..j-1."""
-        if self._floats[j] == self._floats[i]:
-            return self._s1[j] - self._s1[i], self._s2[j] - self._s2[i]
-        values = self._ps[i:j]
-        return sum(values), sum(p * p for p in values)
-
-    @staticmethod
-    def _constant_sums(p: Number, width: int) -> tuple[Number, Number]:
-        if is_exact(p):
-            return width * p, width * p * p
-        return sum(repeat(p, width)), sum(repeat(p * p, width))  # a direct sum
-
     @staticmethod
     def _row(p: Number, s1: Number, s2: Number) -> Row:
         t1 = s1 - p
@@ -217,25 +221,24 @@ class IndependentSequence:
     def window_moments(self, m: int, n: int) -> Runs:
         if m > n:
             return []
+        _check_indices(self.horizon, m, n)
         p = self._constant
         if p is not None:
-            self._check_indices(m, n)
             width = n - m + 1
-            return [(self._row(p, *self._constant_sums(p, width)), width)]
+            if is_exact(p):
+                sums = width * p, width * p * p
+            else:  # a direct sum
+                sums = sum(repeat(p, width)), sum(repeat(p * p, width))
+            return [(self._row(p, *sums), width)]
         i, j = self._block(m, n)
-        s1, s2 = self._sums(i, j)
-        return [(self._row(p, s1, s2), count) for p, count in _runs(self._ps[i:j])]
-
-    def alpha_moments(self, n: int) -> tuple[Number, Number]:
-        if n < 1:
-            return 0, 0
-        p = self._constant
-        if p is not None:
-            self._check_indices(1, n)
-            s1, s2 = self._constant_sums(p, n)
+        values = self._ps[i:j]
+        if self._floats[j] == self._floats[i]:
+            sums = self._s1[j] - self._s1[i], self._s2[j] - self._s2[i]
         else:
-            s1, s2 = self._sums(*self._block(1, n))
-        return s1, s1 + s1 * s1 - s2
+            sums = sum(values), sum(q * q for q in values)
+        return [(self._row(q, *sums), count) for q, count in _runs(values)]
+
+    alpha_moments = _alpha_moments
 
 
 class IdenticalSequence:
@@ -251,13 +254,13 @@ class IdenticalSequence:
         self.horizon = horizon
 
     def window_moments(self, m: int, n: int) -> Runs:
-        width = n - m + 1
-        if width < 1:
+        if m > n:
             return []
+        _check_indices(self.horizon, m, n)
+        width = n - m + 1
         return [((self.p, width * self.p, width * width * self.p), width)]
 
-    def alpha_moments(self, n: int) -> tuple[Number, Number]:
-        return n * self.p, n * n * self.p
+    alpha_moments = _alpha_moments
 
 
 def _check_window(model: SequenceModel, m: int, n: int) -> None:
@@ -266,29 +269,6 @@ def _check_window(model: SequenceModel, m: int, n: int) -> None:
     horizon = getattr(model, "horizon", None)
     if horizon is not None and n > horizon:
         raise ValueError(f"n = {n} exceeds the model horizon {horizon}")
-
-
-def _total(runs: list[tuple[Number, int]]) -> Number:
-    """The sum of count * term over the runs, added in a balanced tree."""
-    return balanced_sum([term * count for term, count in runs], Fraction(0))
-
-
-def _window(model: SequenceModel, m: int, n: int) -> Runs:
-    """model.window_moments(m, n), shared by consecutive estimates.
-
-    The model keeps its latest window only, so the lower and upper estimates
-    of one horizon row at m = 1 build the rows once. Models are read as
-    fixed once made; one that takes no new attributes is not cached.
-    """
-    last = getattr(model, "_last_window", None)
-    if last is not None and last[0] == (m, n):
-        return last[1]
-    runs = model.window_moments(m, n)
-    try:
-        model._last_window = ((m, n), runs)  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    return runs
 
 
 def bc_lower_estimate(model: SequenceModel, n: int) -> BCEstimate:

@@ -210,6 +210,27 @@ def naive_independent_rows(probabilities) -> list[tuple]:
     return rows
 
 
+# Closed forms of the Kochen-Stone moments (E X, E X**2), X counting A_1..A_n.
+
+
+def naive_independent_alpha(probabilities) -> tuple:
+    """Independent events: E X**2 = sum p + (sum p)**2 - sum p**2."""
+    s1 = sum(probabilities)
+    s2 = sum(p * p for p in probabilities)
+    return s1, s1 + s1 * s1 - s2
+
+
+def naive_identical_alpha(p, n: int) -> tuple:
+    """One event repeated n times: X = n 1_A."""
+    return n * p, n * n * p
+
+
+def naive_explicit_alpha(system: EventSystem, n: int) -> tuple:
+    """The power moments of the occupancy count of the first n events."""
+    prefix = system.prefix(n)
+    return naive_power_moment(prefix, 1), naive_power_moment(prefix, 2)
+
+
 def naive_bc_lower(rows, n: int) -> tuple:
     """(value, condition_value) of the lower estimator."""
     total = condition = Fraction(0)

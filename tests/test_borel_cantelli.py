@@ -17,9 +17,11 @@ from conftest import (
     expand_runs,
     naive_bc_lower,
     naive_bc_upper,
+    naive_explicit_alpha,
+    naive_identical_alpha,
+    naive_independent_alpha,
     naive_independent_rows,
     naive_per_event_moment,
-    naive_power_moment,
     sample_systems,
 )
 from unionbounds import (
@@ -107,8 +109,8 @@ def test_lower_estimate_bounds_window_union():
 
 
 def test_row_estimators_share_one_window():
-    # lower at (1, n) and upper at (1, n) read one window; a new (m, n)
-    # replaces it, so a model holds at most one
+    # each window of a horizon n is built once; a new n drops them all, so a
+    # model holds the windows of one horizon row only
     calls = []
 
     class Counted(IndependentSequence):
@@ -121,7 +123,10 @@ def test_row_estimators_share_one_window():
     for m, n in ((1, 6), (1, 6), (3, 6), (1, 6), (1, 9)):
         assert bc_lower_estimate(model, n) == bc_lower_estimate(fresh, n)
         assert bc_upper_estimate(model, m, n) == bc_upper_estimate(fresh, m, n)
-    assert calls == [(1, 6), (3, 6), (1, 6), (1, 9)]
+    assert calls == [(1, 6), (3, 6), (1, 9)]
+    assert bc_upper_estimate(model, 3, 9) == bc_upper_estimate(fresh, 3, 9)
+    assert bc_upper_estimate(model, 3, 6) == bc_upper_estimate(fresh, 3, 6)
+    assert calls == [(1, 6), (3, 6), (1, 9), (3, 9), (3, 6)]
 
     class Frozen:  # a model that takes no new attributes is still served
         __slots__ = ()
@@ -173,7 +178,7 @@ def test_explicit_model_prefixes():
     for system in sample_systems(10, seed=137):
         model = ExplicitSequence(system)
         for n in range(1, system.n_events + 1):
-            prefix = model.prefix_system(n)
+            prefix = system.prefix(n)
             estimate = bc_lower_estimate(model, n)
             assert estimate.value <= exact_union_probability(prefix)
             assert estimate.value == union_bound(prefix, "per_event_lower_three")
@@ -222,6 +227,26 @@ def test_kochen_stone_trends_toward_one_for_independent():
 def test_kochen_stone_zero_first_moment():
     with pytest.raises(ValueError):
         kochen_stone_ratio(IndependentSequence(0), 5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExplicitSequence(build_system(["1/2", "1/2"], [[0], [1], [0, 1], [1]])),
+        lambda: IndependentSequence(Fraction(1, 3), horizon=4),
+        lambda: IndependentSequence([Fraction(1, 3)] * 4),
+        lambda: IdenticalSequence(Fraction(1, 3), horizon=4),
+    ],
+    ids=["explicit", "independent-constant", "independent-listed", "identical"],
+)
+def test_window_moments_reject_indices_outside_the_horizon(make):
+    model = make()
+    assert model.horizon == 4
+    for m, n, first in ((0, 3, 0), (2, 9, 5), (6, 9, 6), (-2, 1, -2)):
+        with pytest.raises(ValueError, match=f"event index {first} outside"):
+            model.window_moments(m, n)
+    assert model.window_moments(3, 2) == []
+    assert sum(count for _, count in model.window_moments(1, 4)) == 4
 
 
 def test_window_validation_errors(s3):
@@ -288,15 +313,13 @@ def oracle_rows(kind, source, m, n):
     ]
 
 
-def oracle_kochen_stone(kind, source, n):
+def oracle_alpha(kind, source, n):
+    """(E X, E X**2) for X counting A_1..A_n, by the model's closed form."""
     if kind == "independent":
-        ps = [source(k) for k in range(1, n + 1)]
-        s1, s2 = sum(ps), sum(p * p for p in ps)
-        return (s1 + s1 * s1 - s2) / (s1 * s1)
+        return naive_independent_alpha([source(k) for k in range(1, n + 1)])
     if kind == "identical":
-        return n * n * source / (n * source) ** 2
-    prefix = source.prefix(n)
-    return naive_power_moment(prefix, 2) / naive_power_moment(prefix, 1) ** 2
+        return naive_identical_alpha(source, n)
+    return naive_explicit_alpha(source, n)
 
 
 def one_based(values):
@@ -339,9 +362,10 @@ def test_estimators_equal_per_k_oracle_exactly():
             value, window, condition = naive_bc_upper(oracle_rows(kind, source, m, n))
             assert (upper.value, upper.window_bound) == (value, window)
             assert upper.condition_value == condition
-            if model.alpha_moments(n)[0]:
-                ratio = kochen_stone_ratio(model, n)
-                assert ratio == oracle_kochen_stone(kind, source, n)
+            alpha1, alpha2 = oracle_alpha(kind, source, n)
+            assert model.alpha_moments(n) == (alpha1, alpha2)
+            if alpha1:
+                assert kochen_stone_ratio(model, n) == alpha2 / (alpha1 * alpha1)
 
 
 def assert_close(actual, expected):
@@ -461,6 +485,6 @@ def test_explicit_grid_holds_only_the_current_row(monkeypatch):
         kochen_stone_ratio(model, n)
     assert len(built) == 40 + 36  # one per window: (1, n), and (n - 3, n) for n > 4
     gc.collect()
-    alive = [ref() for ref in built if ref() is not None]
-    assert len(alive) == 2
-    assert {system.n_events for system in alive} == {40, 4}
+    assert [ref() for ref in built if ref() is not None] == []  # no subsystem kept
+    row, windows = model._row_windows  # only the runs of the latest horizon
+    assert (row, sorted(windows)) == (40, [1, 37])

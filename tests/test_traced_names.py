@@ -60,3 +60,28 @@ def test_traced_report_names_are_called(monkeypatch):
     for a, rho in ((2, 1), (1.5, 1.25)):  # one exact and one float section
         unions.compare_bounds(EventSystem(system.weights, system.events), a, rho)
     assert [name for name, count in calls.items() if count == 0] == []
+
+
+@pytest.mark.parametrize("class_name", LAYERS.MODEL_CLASSES)
+def test_traced_model_methods_are_called(monkeypatch, class_name):
+    from fractions import Fraction
+
+    from unionbounds import random_system
+
+    bc = importlib.import_module("unionbounds.borel_cantelli")
+    cls = getattr(bc, class_name)
+    calls = dict.fromkeys((method for method, _ in LAYERS.MODEL_METHODS), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _call=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    explicit = class_name == "ExplicitSequence"
+    model = cls(random_system(5, 6, 30, "dense") if explicit else Fraction(1, 3))
+    n = 6  # one bc row: lower at (1, n), upper at (m, n), Kochen-Stone at n
+    bc.bc_lower_estimate(model, n)
+    bc.bc_upper_estimate(model, 3, n)
+    bc.kochen_stone_ratio(model, n)
+    assert [name for name, count in calls.items() if count == 0] == []
