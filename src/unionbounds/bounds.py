@@ -86,6 +86,12 @@ class ExponentParams:
         for name in ("a", "rho", "ell", "n_support"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a bool")
+        for name in ("ell", "n_support"):  # integral values (3.0) kept as int
+            value = getattr(self, name)
+            whole = value if type(value) is int else integral_value(value)
+            if whole is None:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, whole)
         if not _finite(self.a):
             raise ValueError("a must be finite")
         if not self.a > 0:
@@ -275,7 +281,9 @@ def _checked(value, relation: str, limit, label: str, scale, size=0) -> Number:
 
     Integers compare exactly, and a failure prints them as the rationals over
     scale. Floats may miss the limit by _FLOAT_SLACK relative to
-    max(1, |value|, |limit|, |size|) and are clamped to it."""
+    max(1, |value|, |limit|, |size|) and are clamped to it. The cone checks
+    compare first and call this only when the plain comparison fails, so it
+    is the one source of their clamps and messages."""
     bound = 0 * scale if limit is None else limit
     if type(scale) is int:
         if value >= bound if relation == ">=" else value <= bound:
@@ -297,9 +305,15 @@ def _two_moment_cone(s1, s2, scale, n: int, rho) -> Number:
     """s2 after the two-moment cone checks: s2 = 0 when s1 = 0, else
     s1 <= s2 <= n**rho * s1."""
     if s1 == 0:
+        if s2 <= s1:
+            return s2
         return _checked(s2, "<=", s1, "s2 must vanish when s1 does", scale)
-    s2 = _checked(s2, ">=", s1, "s2 >= s1", scale)
-    return _checked(s2, "<=", n**rho * s1, "s2 <= n_support**rho * s1", scale)
+    if not s2 >= s1:
+        s2 = _checked(s2, ">=", s1, "s2 >= s1", scale)
+    top = n**rho * s1
+    if s2 <= top:
+        return s2
+    return _checked(s2, "<=", top, "s2 <= n_support**rho * s1", scale)
 
 
 def _lower_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Number]:
@@ -309,15 +323,22 @@ def _lower_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Numb
     mass at n) the bound needs only the signs; ``strict`` checks the rest."""
     s1, s2, s3 = s[:3]
     top = n**rho
-    label = "n**rho * s1 - s2 must be non-negative"
-    d1 = _checked(top * s1 - s2, ">=", None, label, scale, top * s1)
-    label = "n**rho * s2 - s3 must be non-negative"
-    d2 = _checked(top * s2 - s3, ">=", None, label, scale, top * s2)
+    d1, d2 = top * s1 - s2, top * s2 - s3
+    if not d1 >= 0:
+        label = "n**rho * s1 - s2 must be non-negative"
+        d1 = _checked(d1, ">=", None, label, scale, top * s1)
+    if not d2 >= 0:
+        label = "n**rho * s2 - s3 must be non-negative"
+        d2 = _checked(d2, ">=", None, label, scale, top * s2)
     if d1 == 0 and not strict:
         return d1, d2
-    d2 = _checked(d2, ">=", d1, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)", scale)
+    if not d2 >= d1:
+        d2 = _checked(d2, ">=", d1, "(n**rho*s2 - s3) >= (n**rho*s1 - s2)", scale)
+    limit = (n - 1) ** rho * d1
+    if d2 <= limit:
+        return d1, d2
     label = "(n**rho*s2 - s3) <= (n-1)**rho * (n**rho*s1 - s2)"
-    return d1, _checked(d2, "<=", (n - 1) ** rho * d1, label, scale)
+    return d1, _checked(d2, "<=", limit, label, scale)
 
 
 def _upper_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Number]:
@@ -326,13 +347,20 @@ def _upper_three_cone(s, scale, n: int, rho, strict=False) -> tuple[Number, Numb
     r_i * (i**rho - 1) on 2..n. At d1 = 0 (all mass at 1) the bound needs
     only the signs; ``strict`` checks the rest."""
     s1, s2, s3 = s[:3]
-    d1 = _checked(s2 - s1, ">=", None, "s2 - s1 must be non-negative", scale, s2)
-    d2 = _checked(s3 - s2, ">=", None, "s3 - s2 must be non-negative", scale, s3)
+    d1, d2 = s2 - s1, s3 - s2
+    if not d1 >= 0:
+        d1 = _checked(d1, ">=", None, "s2 - s1 must be non-negative", scale, s2)
+    if not d2 >= 0:
+        d2 = _checked(d2, ">=", None, "s3 - s2 must be non-negative", scale, s3)
     if d1 == 0 and not strict:
         return d1, d2
-    d2 = _checked(d2, ">=", 2**rho * d1, "(s3 - s2) >= 2**rho * (s2 - s1)", scale)
-    label = "(s3 - s2) <= n**rho * (s2 - s1)"
-    return d1, _checked(d2, "<=", n**rho * d1, label, scale)
+    limit = 2**rho * d1
+    if not d2 >= limit:
+        d2 = _checked(d2, ">=", limit, "(s3 - s2) >= 2**rho * (s2 - s1)", scale)
+    limit = n**rho * d1
+    if d2 <= limit:
+        return d1, d2
+    return d1, _checked(d2, "<=", limit, "(s3 - s2) <= n**rho * (s2 - s1)", scale)
 
 
 def _possible(value: Number, kind: str, s1: Number, n: int, a: Number) -> Number:
@@ -368,7 +396,8 @@ def _delta_decomposition(
     the refined weight theta_refined. Exact rationals are preserved whenever
     possible: base and theta_refined stay exact for integer rho even when
     delta itself is irrational, because theta_refined only needs delta**rho.
-    In floating point, delta within 1e-9 of an integer snaps to it.
+    In floating point it follows ``_float_window``, which snaps delta within
+    1e-9 of an integer onto it.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -397,19 +426,26 @@ def _delta_decomposition(
         delta = float(ratio) ** (1.0 / rho_int)
         theta = min(max(delta - base, 0.0), _THETA_MAX)
         return _DeltaDecomposition(base + theta, theta, refined, base)
-    ratio = float(s_hi) / float(s_lo)
-    rho_f = float(rho)
-    delta = ratio ** (1.0 / rho_f)
-    nearest = round(delta)
-    if abs(delta - nearest) < _INTEGER_SNAP:
-        base = int(nearest)
-        return _DeltaDecomposition(float(base), 0.0, 0.0, base)
-    base = int(delta)
+    delta, base, refined = _float_window(float(s_hi) / float(s_lo), float(rho))
     theta = min(max(delta - base, 0.0), _THETA_MAX)
-    span = float(base + 1) ** rho_f - float(base) ** rho_f
-    refined = (ratio - float(base) ** rho_f) / span
     refined = min(max(refined, 0.0), _THETA_MAX)
     return _DeltaDecomposition(delta, theta, refined, base)
+
+
+def _float_window(ratio: float, rho: float) -> tuple[float, int, float]:
+    """(delta, b, w) of a float moment ratio: delta = ratio**(1/rho), b its
+    floor and w = (ratio - b**rho) / ((b+1)**rho - b**rho), the unclamped
+    refined weight of b+1. A delta within _INTEGER_SNAP of an integer snaps
+    onto it (delta = b, w = 0), so rounding noise never moves a window edge;
+    the window is on the point b when w <= 0. The one float window rule of
+    ``_window_bound`` and ``_delta_decomposition``."""
+    delta = ratio ** (1.0 / rho)
+    nearest = round(delta)
+    if abs(delta - nearest) < _INTEGER_SNAP:
+        return float(nearest), nearest, 0.0
+    base = int(delta)
+    x = float(base) ** rho
+    return delta, base, (ratio - x) / (float(base + 1) ** rho - x)
 
 
 def _index_window(
@@ -439,7 +475,9 @@ def _window_bound(kind: str, ell: int, p, q, s1, scale, a, rho, n: int) -> Numbe
     t = (q/p - x) / (y - x), or v_i = p on a point. Each adds v * g(i), with
     g(i) = 1 / i**a for two moments; for three, the bound is
     s1/c + sum v * (c - i**a) / (c * i**a * psi(i)), with c = f**a and the
-    residual factor psi(i) = |f**rho - i**rho|.
+    residual factor psi(i) = |f**rho - i**rho|. Integers find b by an integer
+    root; floats by ``_float_window``, whose snap keeps rounding noise off the
+    window edge.
 
     Integers give one Fraction over the common denominator; floats sum the
     point masses, and ``_possible`` rejects an impossible result.
@@ -448,9 +486,9 @@ def _window_bound(kind: str, ell: int, p, q, s1, scale, a, rho, n: int) -> Numbe
     if exact:
         b = floor_root(q // p, rho)
         on_point = q == b**rho * p
-    else:  # the snap of _delta_decomposition keeps noise off the window edge
-        dd = _delta_decomposition(p, q, rho)
-        b, on_point = dd.base, dd.theta_refined == 0
+    else:
+        _, b, w = _float_window(q / p, rho)
+        on_point = w <= 0
     points = _index_window(kind, ell, b, n, on_point)
     base, c = 0 * scale, 1
     if ell == 3:  # drop the fixed point f, which carries no residual mass

@@ -251,7 +251,9 @@ def per_event_moments(
     for j in range(ell):
         powers = [0.0] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]
         totals = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
-        floats.append(tuple(float(total) for total in totals))
+        # from a list: tuple() of a generator is allocated for ten items and
+        # shrunk, and shrunk tuples pile up on the interpreter's free lists
+        floats.append(tuple([float(total) for total in totals]))
     return PerEventMoments(a, rho, n, tuple(floats), None)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable
 
@@ -105,6 +105,20 @@ def _row_key(name: str, a: Number, rho: Number) -> RowKey:
     return kind, statistic, ell, variant, a, rho
 
 
+@lru_cache(maxsize=256, typed=True)
+def _section_keys(a: Number, rho: Number) -> tuple[RowKey, ...]:
+    """The row key of every name in BOUND_NAMES at (a, rho), resolved once per
+    distinct section; ``typed`` keeps a = 2, 2.0 and Fraction(2) apart."""
+    return tuple(_row_key(name, a, rho) for name in BOUND_NAMES)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _exponent_params(a: Number, rho: Number, ell: int, n: int) -> ExponentParams:
+    """One shared ExponentParams per distinct (a, rho, ell, n), which keeps
+    its integral pair; invalid exponents raise on every call."""
+    return ExponentParams(a, rho, ell, n)
+
+
 def _check_exponents(a: Number, rho: Number) -> None:
     """Reject bool exponents, which every row would otherwise read as 1 or 0."""
     if isinstance(a, bool) or isinstance(rho, bool):
@@ -133,9 +147,7 @@ def _moment_vectors(
     """
     key = (statistic, a, rho, ell)
     if key not in cache:
-        params = cache.get((a, rho, ell))
-        if params is None:  # one per (a, rho, ell): it caches integral a, rho
-            params = cache[(a, rho, ell)] = ExponentParams(a, rho, ell, system.n_events)
+        params = _exponent_params(a, rho, ell, system.n_events)
         moments = cache.get((statistic, a, rho))
         if moments is None:
             if statistic == "per_event":
@@ -164,8 +176,8 @@ def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     """The row's scalar bound, looked up at call time, summed over the
     statistic's moment vectors: once per distinct vector, and once per
     system object for each row key. Integer rows add up as integers over the
-    lcm of the values' denominators, float rows left to right in event
-    order."""
+    lcm of the values' denominators, float rows as floats from 0.0, left to
+    right in event order; a row with no vector is Fraction(0)."""
     memo = system.row_values
     if key in memo:
         return memo[key]
@@ -187,13 +199,16 @@ def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     if statistic == "occupancy":
         total = values[None]
     elif type(d) is int:  # exact values: one Fraction over their lcm
-        scale = math.lcm(*(v.denominator for v in values.values()))
+        # a list, not a generator: see the note in events.per_event_moments
+        scale = math.lcm(*[v.denominator for v in values.values()])
         scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
         total = Fraction(sum(map(scaled.__getitem__, order)), scale)
-    else:
-        total = Fraction(0)  # the per-event bounds add up, in event order
+    elif order:  # float values add up from 0.0, in event order
+        total = 0.0
         for k in order:
-            total = total + values[k]
+            total += values[k]
+    else:
+        total = Fraction(0)
     memo[key] = total
     return total
 
@@ -250,6 +265,9 @@ class BoundReport:
 
 
 def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
+    if type(value) is Fraction:  # cross products: denominators are positive
+        v, e = value.numerator * exact.denominator, exact.numerator * value.denominator
+        return v <= e if kind == "lower" else v >= e
     if is_exact(value):
         return value <= exact if kind == "lower" else value >= exact
     v, e = float(value), float(exact)
@@ -260,7 +278,12 @@ def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
 
 
 def _clamp(value: Number) -> Number:
-    """value pushed into [0, 1] in its own arithmetic."""
+    """value pushed into [0, 1] in its own arithmetic; a Fraction compares
+    its numerator with 0 and with its positive denominator."""
+    if type(value) is Fraction:
+        if 0 <= value.numerator <= value.denominator:
+            return value
+        return Fraction(0) if value.numerator < 0 else Fraction(1)
     if value < 0:
         return Fraction(0) if is_exact(value) else 0.0
     if value > 1:
@@ -294,10 +317,9 @@ def compare_bounds(
     exact = exact_union_probability(system)
     cache: dict = {}
     entries = []
-    for name in BOUND_NAMES:
+    for name, key in zip(BOUND_NAMES, _section_keys(a, rho)):
         if name not in wanted:
             continue
-        key = _row_key(name, a, rho)
         kind = key[0]
         try:
             value = _evaluate(system, key, cache)

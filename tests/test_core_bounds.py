@@ -143,6 +143,23 @@ def test_exponent_params_validation():
     assert params.exponents == (2, 5, 8)
     assert params.is_integral
     assert not ExponentParams(1.5, 1, 2, 5).is_integral
+    # ell and n_support count points: non-integral values name their field
+    for bad in (Fraction(7, 2), 3.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_support must be an integer"):
+            ExponentParams(1, 1, 2, bad)
+    for bad in (2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            ExponentParams(1, 1, bad, 3)
+    for name, args in (("ell", (1, 1, True, 3)), ("n_support", (1, 1, 2, True))):
+        with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+            ExponentParams(*args)
+    # integral values are stored as int, as build_system stores atom indices
+    for whole in (3.0, Fraction(3)):
+        params = ExponentParams(1, 1, whole, whole)
+        assert (params.ell, params.n_support) == (3, 3)
+        assert type(params.ell) is int and type(params.n_support) is int
+    moments = MomentVector((Fraction(3, 2), Fraction(27, 10)), ExponentParams(1, 1, 2, 3.0))
+    assert lower_bound_two_moments(moments) == Fraction(9, 10)
 
 
 def test_moment_vector_validation():

@@ -111,6 +111,69 @@ def test_exact_classic_and_paper_rows_need_no_delta_and_no_rpow(monkeypatch):
         assert all(e.passed and e.arithmetic == "rational" for e in report.entries)
 
 
+def test_float_section_builds_no_delta_decomposition(monkeypatch):
+    # the float refined rows pick their windows by the one float window rule,
+    # with no decomposition object per window
+    calls = []
+    decompose = bounds_module._delta_decomposition
+
+    def counted(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(bounds_module, "_delta_decomposition", counted)
+    for system in sample_systems(20, seed=137):
+        fresh = EventSystem(system.weights, system.events)
+        report = compare_bounds(fresh, 1.5, 1.25)
+        assert report.all_pass
+        assert any(e.arithmetic == "float" for e in report.entries)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.25, 1.5, 2.5])
+def test_kernel_float_window_is_the_decomposition_rule(monkeypatch, rho):
+    # q/p = b**rho * (1 +- k ulp), inside and outside the 1e-9 snap band
+    windows = []
+    index_window = bounds_module._index_window
+
+    def recorded(kind, ell, b, n, on_point=False):
+        windows.append((b, on_point))
+        return index_window(kind, ell, b, n, on_point)
+
+    monkeypatch.setattr(bounds_module, "_index_window", recorded)
+    ulp = 2.0**-52
+    ratios = [b**rho * (1 + sign * k * ulp) for b in (2, 3, 7, 40) for sign in (1, -1)
+              for k in (0, 1, 2, 16, 1000, 10**6, 10**8, 10**10)]
+    if rho == 1.5:  # one ulp below 2**1.5 snaps onto the point 2
+        ratios.append(math.nextafter(2**1.5, 0.0))
+    expected = []
+    for ratio in ratios:
+        p = 0.375
+        q = ratio * p
+        bounds_module._window_bound("lower", 2, p, q, p, 1.0, 1.0, rho, 100)
+        dd = bounds_module._delta_decomposition(p, q, rho)
+        expected.append((dd.base, dd.theta_refined == 0))
+    assert windows == expected
+    assert {on_point for _, on_point in windows} == {True, False}
+    if rho == 1.5:
+        assert windows[-1] == (2, True)
+
+
+def test_fraction_clamp_and_sandwich_equal_fraction_comparisons():
+    zero, one = Fraction(0), Fraction(1)
+    edges = [zero, one, Fraction(3, 7), Fraction(9, 7), Fraction(-1, 5),
+             Fraction(3, 7) + Fraction(1, 10**30), Fraction(3, 7) - Fraction(1, 10**30)]
+    for exact in (zero, Fraction(3, 7), one):
+        for value in edges + [exact]:
+            clamped = unions_module._clamp(value)
+            assert clamped == min(max(value, zero), one)
+            assert type(clamped) is Fraction
+            if zero <= value <= one:
+                assert clamped is value
+            assert unions_module._sandwich_ok("lower", value, exact) is (value <= exact)
+            assert unions_module._sandwich_ok("upper", value, exact) is (value >= exact)
+
+
 def test_holder_union_bound_values(s2):
     assert holder_union_bound(s2, 2) == pytest.approx(2 / 3)
     assert holder_union_bound(s2, 3) == pytest.approx(0.6324555320336759)
