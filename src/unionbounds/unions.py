@@ -106,13 +106,6 @@ def _row_key(name: str, a: Number, rho: Number) -> RowKey:
 
 
 @lru_cache(maxsize=256, typed=True)
-def _section_keys(a: Number, rho: Number) -> tuple[RowKey, ...]:
-    """The row key of every name in BOUND_NAMES at (a, rho), resolved once per
-    distinct section; ``typed`` keeps a = 2, 2.0 and Fraction(2) apart."""
-    return tuple(_row_key(name, a, rho) for name in BOUND_NAMES)
-
-
-@lru_cache(maxsize=256, typed=True)
 def _exponent_params(a: Number, rho: Number, ell: int, n: int) -> ExponentParams:
     """One shared ExponentParams per distinct (a, rho, ell, n), which keeps
     its integral pair; invalid exponents raise on every call."""
@@ -265,11 +258,9 @@ class BoundReport:
 
 
 def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
-    if type(value) is Fraction:  # cross products: denominators are positive
+    if is_exact(value):  # cross products: denominators are positive
         v, e = value.numerator * exact.denominator, exact.numerator * value.denominator
         return v <= e if kind == "lower" else v >= e
-    if is_exact(value):
-        return value <= exact if kind == "lower" else value >= exact
     v, e = float(value), float(exact)
     scale = max(1.0, abs(v), abs(e))
     if kind == "lower":
@@ -278,16 +269,16 @@ def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
 
 
 def _clamp(value: Number) -> Number:
-    """value pushed into [0, 1] in its own arithmetic; a Fraction compares
-    its numerator with 0 and with its positive denominator."""
-    if type(value) is Fraction:
+    """value pushed into [0, 1] in its own arithmetic; an exact value
+    compares its numerator with 0 and with its positive denominator."""
+    if is_exact(value):
         if 0 <= value.numerator <= value.denominator:
             return value
         return Fraction(0) if value.numerator < 0 else Fraction(1)
     if value < 0:
-        return Fraction(0) if is_exact(value) else 0.0
+        return 0.0
     if value > 1:
-        return Fraction(1) if is_exact(value) else 1.0
+        return 1.0
     return value
 
 
@@ -317,9 +308,10 @@ def compare_bounds(
     exact = exact_union_probability(system)
     cache: dict = {}
     entries = []
-    for name, key in zip(BOUND_NAMES, _section_keys(a, rho)):
+    for name in BOUND_NAMES:
         if name not in wanted:
             continue
+        key = _row_key(name, a, rho)
         kind = key[0]
         try:
             value = _evaluate(system, key, cache)

@@ -172,6 +172,10 @@ def test_fraction_clamp_and_sandwich_equal_fraction_comparisons():
                 assert clamped is value
             assert unions_module._sandwich_ok("lower", value, exact) is (value <= exact)
             assert unions_module._sandwich_ok("upper", value, exact) is (value >= exact)
+    for value in (-1, 0, 1, 2):  # ints take the same exact branch
+        assert unions_module._clamp(value) == min(max(value, 0), 1)
+        assert unions_module._sandwich_ok("lower", value, one) is (value <= 1)
+        assert unions_module._sandwich_ok("upper", value, zero) is (value >= 0)
 
 
 def test_holder_union_bound_values(s2):
