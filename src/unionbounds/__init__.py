@@ -27,15 +27,6 @@ from .bounds import (
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
-from .borel_cantelli import (
-    BCEstimate,
-    ExplicitSequence,
-    IdenticalSequence,
-    IndependentSequence,
-    bc_lower_estimate,
-    bc_upper_estimate,
-    kochen_stone_ratio,
-)
 from .events import (
     EventSystem,
     OccupancyProfile,
@@ -99,3 +90,20 @@ __all__ = [
     "upper_bound_two_moments",
     "__version__",
 ]
+
+# Imported on first use (PEP 562), so that the report path never loads them.
+_BOREL_CANTELLI = (
+    "BCEstimate", "ExplicitSequence", "IdenticalSequence", "IndependentSequence",
+    "bc_lower_estimate", "bc_upper_estimate", "kochen_stone_ratio",
+)
+
+
+def __getattr__(name: str):
+    if name in _BOREL_CANTELLI:
+        from . import borel_cantelli
+        return getattr(borel_cantelli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

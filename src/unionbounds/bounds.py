@@ -117,7 +117,7 @@ class ExponentParams:
 
     @property
     def exponents(self) -> tuple[Number, ...]:
-        return tuple(self.a + j * self.rho for j in range(self.ell))
+        return tuple([self.a + j * self.rho for j in range(self.ell)])
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ def per_event_moments(
                 for total in sums:
                     total[k] += term
                     term *= x
-        return PerEventMoments(a, rho, n, tuple(map(tuple, sums)), denominator)
+        return PerEventMoments(a, rho, n, tuple([*map(tuple, sums)]), denominator)
     floats = []
     for j in range(ell):
         powers = [0.0] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]

@@ -91,7 +91,7 @@ def occupancy_moment_vector(
     if system.n_events == 0:
         raise ValueError("the system has no events")
     params = ExponentParams(a, rho, ell, system.n_events)
-    sbar = tuple(power_moments(system, e) for e in params.exponents)
+    sbar = tuple([power_moments(system, e) for e in params.exponents])
     return MomentVector(sbar, params)
 
 
@@ -153,7 +153,7 @@ def _moment_vectors(
                 moments = [None], {None: tuple(sums)}, d
             else:  # the public vector, checked on construction
                 sbar = occupancy_moment_vector(system, a, rho, 3).sbar
-                moments = [None], {None: tuple(map(float, sbar))}, 1.0
+                moments = [None], {None: tuple([*map(float, sbar)])}, 1.0
             cache[(statistic, a, rho)] = moments
         order, distinct, d = moments
         vectors = {

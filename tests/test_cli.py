@@ -3,11 +3,15 @@
 import json
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import unionbounds
 from conftest import S2_EVENTS, S2_WEIGHTS, S3_EVENTS, S3_WEIGHTS
 from unionbounds import BOUND_NAMES, cli, unions
 from unionbounds.bounds import MomentConsistencyError
@@ -476,3 +480,112 @@ def test_serialize_system_canonical():
     document = json.loads(text)
     assert document == {"weights": ["1/2", "1/2"], "events": [[0, 1], [1]]}
     assert text.endswith("\n")
+
+
+# What each command loads. This process has imported every module already,
+# so each check runs in a fresh interpreter.
+SRC = str(Path(unionbounds.__file__).resolve().parents[1])
+ON_FIRST_USE = ("unionbounds._selftest", "unionbounds.borel_cantelli")
+ESTIMATORS = ("bc_lower_estimate", "bc_upper_estimate", "kochen_stone_ratio")
+
+
+def run_python(*argv):
+    """A new interpreter run with the library imported from this checkout."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def run_fresh(code):
+    """The lines ``code`` prints in a new interpreter; the run must exit 0."""
+    result = run_python("-c", textwrap.dedent(code))
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+BC_ARGV = ["bc", "--model", "independent", "--p", "1/2", "--n", "3", "--n", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        *((["bounds", "--format", fmt], []) for fmt in FORMATS),
+        (["generate", "--seed", "1"], []),
+        (BC_ARGV, ["unionbounds.borel_cantelli"]),
+        (["selftest", "--sharpness", "5", "--systems", "2"], ["unionbounds._selftest"]),
+    ],
+)
+def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
+    if argv[0] == "bounds":
+        argv = [*argv, "--input", s3_path]
+    out = run_fresh(
+        f"""
+        import sys, unionbounds.cli
+        assert unionbounds.cli.main({argv!r}) == 0
+        print([name for name in {ON_FIRST_USE!r} if name in sys.modules])
+        """
+    )
+    assert out[-1] == repr(loaded)
+
+
+def test_package_resolves_borel_cantelli_names_on_first_use():
+    run_fresh(
+        """
+        import sys, unionbounds
+        assert "unionbounds.borel_cantelli" not in sys.modules
+        assert set(unionbounds.__all__) <= set(dir(unionbounds))
+        assert not hasattr(unionbounds, "no_such_name")
+        from unionbounds import bc_lower_estimate
+        from unionbounds import borel_cantelli
+        assert bc_lower_estimate is borel_cantelli.bc_lower_estimate
+        assert unionbounds.IndependentSequence is borel_cantelli.IndependentSequence
+        namespace = {}
+        exec("from unionbounds import *", namespace)
+        assert set(unionbounds.__all__) <= set(namespace)
+        """
+    )
+
+
+@pytest.mark.parametrize("bound_first", [True, False])
+def test_tracer_wrappers_on_lazy_estimators_are_called(bound_first):
+    """A tracer replaces cli's estimators by name with setattr, before the
+    first bc command, whether or not an attribute read has bound them yet;
+    run_bc calls its wrappers, once per horizon row, and leaves them bound."""
+    out = run_fresh(
+        f"""
+        from unionbounds import borel_cantelli, cli
+        names = {ESTIMATORS!r}
+        if {bound_first}:
+            assert all(getattr(cli, n) is getattr(borel_cantelli, n) for n in names)
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        wrappers = {{n: counting(n, getattr(borel_cantelli, n)) for n in names}}
+        for name, wrapper in wrappers.items():
+            setattr(cli, name, wrapper)
+        assert cli.main({BC_ARGV!r}) == 0
+        assert all(getattr(cli, n) is wrappers[n] for n in names)
+        print(calls)
+        """
+    )
+    assert out[-1] == repr(dict.fromkeys(ESTIMATORS, 2))
+
+
+def test_module_entry_point_reports_selftest_input_errors():
+    """``python -m unionbounds.cli`` runs cli as ``__main__``, beside the
+    ``unionbounds.cli`` that the self-test module imports; a bad count is
+    still an input error, not a traceback."""
+    result = run_python("-m", "unionbounds.cli", "selftest", "--systems", "-1")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_INPUT_ERROR, "", "error: --systems must be non-negative\n"
+    )
