@@ -11,6 +11,8 @@ Exit codes: 0 ok, 1 input error, 2 internal inequality violation.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import io
 import json
 import os
@@ -448,6 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Registers ``gc.freeze`` with ``atexit``, once per process however often
+    ``main`` runs, so the interpreter's exit-time collections neither traverse
+    nor free the heap. The collector is untouched until exit. Finalizers of
+    objects left in unreachable cycles at exit do not run; the CLI relies on
+    none."""
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -489,14 +489,15 @@ ON_FIRST_USE = ("unionbounds._selftest", "unionbounds.borel_cantelli")
 ESTIMATORS = ("bc_lower_estimate", "bc_upper_estimate", "kochen_stone_ratio")
 
 
-def run_python(*argv):
+def run_python(*argv, cwd=None, text=True):
     """A new interpreter run with the library imported from this checkout."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
         capture_output=True,
-        text=True,
+        text=text,
         timeout=120,
     )
 
@@ -589,3 +590,53 @@ def test_module_entry_point_reports_selftest_input_errors():
     assert (result.returncode, result.stdout, result.stderr) == (
         EXIT_INPUT_ERROR, "", "error: --systems must be non-negative\n"
     )
+
+
+@pytest.mark.parametrize("stand_in", [True, False])
+def test_main_freezes_the_heap_once_at_exit(stand_in, s3_path, tmp_path):
+    """main registers gc.freeze with atexit once per process, however often
+    it runs, and leaves the collector as it was until exit. The probe is
+    registered before the first main, so it runs after the hook (atexit
+    handlers run last-in, first-out)."""
+    argv = ["bounds", "--input", s3_path, "--output", str(tmp_path / "out.txt")]
+    out = run_fresh(
+        f"""
+        import atexit, gc
+        from unionbounds import cli
+        calls = []
+        atexit.register(lambda: print("at exit", calls, gc.get_freeze_count() > 0))
+        if {stand_in}:
+            gc.freeze = lambda: calls.append("freeze")
+        assert cli.main({argv!r}) == 0
+        assert cli.main({argv!r}) == 0
+        print("after main", gc.get_freeze_count(), gc.isenabled())
+        """
+    )
+    frozen = ["at exit ['freeze'] False"] if stand_in else ["at exit [] True"]
+    assert out == ["after main 0 True", *frozen]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", ["bounds", "bc_geometric"])
+def test_console_output_arrives_whole(case, fmt, tmp_path):
+    """The module entry point writes its whole output to a pipe (so stdout
+    is block-buffered) before the interpreter exits."""
+    argv, code = GOLDEN_CASES[case]
+    write_system(tmp_path, S3_WEIGHTS, S3_EVENTS, "s3.json")
+    result = run_python(
+        "-m", "unionbounds.cli", *argv, "--format", fmt, cwd=tmp_path, text=False
+    )
+    assert (result.returncode, result.stderr) == (code, b"")
+    assert result.stdout == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+def test_console_output_file_arrives_whole(tmp_path):
+    argv, code = GOLDEN_CASES["bounds_sections"]
+    write_system(tmp_path, S3_WEIGHTS, S3_EVENTS, "s3.json")
+    result = run_python(
+        "-m", "unionbounds.cli", *argv, "--format", "json", "--output", "out.json",
+        cwd=tmp_path, text=False,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, b"", b"")
+    want = (GOLDEN / "bounds_sections.json").read_bytes()
+    assert (tmp_path / "out.json").read_bytes() == want
