@@ -98,27 +98,6 @@ def floor_root(value: Number, degree: int) -> int:
         b = nxt
 
 
-def _int_root(n: int, degree: int) -> int | None:
-    r = floor_root(n, degree)
-    return r if r**degree == n else None
-
-
-def nth_root_exact(value: Number, degree: int) -> Fraction | None:
-    """Exact rational ``degree``-th root of a non-negative rational, if any."""
-    value = Fraction(value)
-    if degree == 1:
-        return value
-    if value < 0:
-        return None
-    num = _int_root(value.numerator, degree)
-    if num is None:
-        return None
-    den = _int_root(value.denominator, degree)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
 def solve_linear(
     matrix: Sequence[Sequence[Number]], rhs: Sequence[Number]
 ) -> list[Number]:

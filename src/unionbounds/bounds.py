@@ -14,13 +14,13 @@ else IEEE doubles. A report row's vectors are built in that arithmetic
 already (``_ScaledMoments``). One set of cone checks per direction runs on
 those numbers (floats with a relative slack of 1e-9); only the last step
 differs: one ``Fraction``, or a float sum of the point masses that raises
-ArithmeticError when it is not finite or impossible. Exact simplified forms
-are one Fraction of those integers where they need no root of delta: rho
-dividing a in ``lower_bound_two_moments_simple``, a = rho in
-"rho_ge_1_simple" (delta**a = d2/d1). Otherwise they keep closed forms: one
-term formula per direction, evaluated at (delta, delta+1) for "a_le_rho",
-(delta-1, delta) for "a_ge_rho" and the one point delta or delta-1 for
-"rho_ge_1_simple". Every function is pure and safe for concurrent use.
+ArithmeticError when it is not finite or impossible. The simplified forms
+that a report reads need no root of delta: ``lower_bound_two_moments_simple``
+(one Fraction of those integers when rho divides a) and the paper's
+three-moment form "rho_ge_1_simple" at a = rho >= 1, where delta**a = d2/d1.
+The paper's other simplified three-moment forms are dominated by the refined
+bounds and live on in the tests as oracles. Every function is pure and safe
+for concurrent use.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ._numeric import (
     all_exact,
     floor_root,
     integral_value,
-    nth_root_exact,
     rpow,
     solve_linear,
 )
@@ -47,7 +46,7 @@ _INTEGER_SNAP = 1e-9
 # certifies float results.
 _FLOAT_SLACK = 1e-9
 
-VARIANTS = ("refined", "a_le_rho", "a_ge_rho", "rho_ge_1_simple")
+VARIANTS = ("refined", "rho_ge_1_simple")
 
 
 class MomentConsistencyError(ValueError):
@@ -223,22 +222,6 @@ class _ScaledMoments(MomentVector):
 
 
 @dataclass(frozen=True)
-class _DeltaDecomposition:
-    """Split of delta = (s_hi/s_lo)**(1/rho) into window coordinates.
-
-    theta is the fractional part of delta; theta_refined is the exact-mass
-    interpolation weight ((delta**rho - base**rho) / ((base+1)**rho -
-    base**rho)), which equals theta when rho = 1. base = floor(delta) after
-    integer snapping. A 0/0 input yields the all-zero decomposition.
-    """
-
-    delta: Number
-    theta: Number
-    theta_refined: Number
-    base: int
-
-
-@dataclass(frozen=True)
 class GeneralBoundOutcome:
     """Result of the certified general bound on a chosen index window."""
 
@@ -387,58 +370,13 @@ def _possible(value: Number, kind: str, s1: Number, n: int, a: Number) -> Number
 _THETA_MAX = 1.0 - 1e-12
 
 
-def _delta_decomposition(
-    s_lo: Number, s_hi: Number, rho: Number
-) -> _DeltaDecomposition:
-    """Decompose the moment ratio into integer window and splitting weights.
-
-    Returns delta = (s_hi/s_lo)**(1/rho) with its fractional part theta and
-    the refined weight theta_refined. Exact rationals are preserved whenever
-    possible: base and theta_refined stay exact for integer rho even when
-    delta itself is irrational, because theta_refined only needs delta**rho.
-    In floating point it follows ``_float_window``, which snaps delta within
-    1e-9 of an integer onto it.
-    """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    if s_lo < 0 or s_hi < 0:
-        raise ValueError("moments must be non-negative")
-    if s_lo == 0:
-        if s_hi != 0:
-            raise MomentConsistencyError(
-                "inconsistent moments: zero low moment with non-zero high moment"
-            )
-        zero = _zero_like(s_lo, s_hi)
-        return _DeltaDecomposition(zero, zero, zero, 0)
-    rho_int = integral_value(rho) if all_exact(s_lo, s_hi) else None
-    if rho_int is not None:
-        ratio = Fraction(s_hi) / Fraction(s_lo)
-        base = floor_root(ratio, rho_int)
-        refined = (ratio - base**rho_int) / (
-            (base + 1) ** rho_int - base**rho_int
-        )
-        if refined == 0:
-            zero = Fraction(0)
-            return _DeltaDecomposition(Fraction(base), zero, zero, base)
-        root = nth_root_exact(ratio, rho_int)
-        if root is not None:
-            return _DeltaDecomposition(root, root - base, refined, base)
-        delta = float(ratio) ** (1.0 / rho_int)
-        theta = min(max(delta - base, 0.0), _THETA_MAX)
-        return _DeltaDecomposition(base + theta, theta, refined, base)
-    delta, base, refined = _float_window(float(s_hi) / float(s_lo), float(rho))
-    theta = min(max(delta - base, 0.0), _THETA_MAX)
-    refined = min(max(refined, 0.0), _THETA_MAX)
-    return _DeltaDecomposition(delta, theta, refined, base)
-
-
 def _float_window(ratio: float, rho: float) -> tuple[float, int, float]:
     """(delta, b, w) of a float moment ratio: delta = ratio**(1/rho), b its
     floor and w = (ratio - b**rho) / ((b+1)**rho - b**rho), the unclamped
     refined weight of b+1. A delta within _INTEGER_SNAP of an integer snaps
     onto it (delta = b, w = 0), so rounding noise never moves a window edge;
     the window is on the point b when w <= 0. The one float window rule of
-    ``_window_bound`` and ``_delta_decomposition``."""
+    ``_window_bound`` and ``lower_bound_two_moments_simple``."""
     delta = ratio ** (1.0 / rho)
     nearest = round(delta)
     if abs(delta - nearest) < _INTEGER_SNAP:
@@ -539,8 +477,10 @@ def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
 
     s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1, the one Fraction
     S1**(e+1) / (S2**e * D) of exact moments S_k/D when e = a/rho is an
-    integer; for rho < 1 the same value scaled by (1 - theta_refined)/(1 -
-    theta). Never exceeds the refined two-moment bound on the same moments.
+    integer; for rho < 1 (float input only) the same value scaled by
+    (1 - w)/(1 - theta), with theta the fractional part of delta and w the
+    refined weight of ``_float_window``, both clamped to [0, _THETA_MAX].
+    Never exceeds the refined two-moment bound on the same moments.
     """
     (s1, s2, scale), a, rho = _arithmetic(moments, 2)
     n = moments.params.n_support
@@ -555,10 +495,11 @@ def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
     else:
         e_hi, e_lo = (a + rho) / rho, a / rho
     core = rpow(s1, e_hi) / rpow(s2, e_lo)
-    if rho < 1:
-        dd = _delta_decomposition(s1, s2, rho)
-        if dd.theta != 0:
-            core = core * (1 - dd.theta_refined) / (1 - dd.theta)
+    if rho < 1:  # never integral, so s1 and s2 are floats
+        delta, b, w = _float_window(s2 / s1, rho)
+        theta = min(max(delta - b, 0.0), _THETA_MAX)
+        if theta != 0:
+            core = core * (1 - min(max(w, 0.0), _THETA_MAX)) / (1 - theta)
     return _possible(core, "lower", s1, n, a)
 
 
@@ -579,49 +520,12 @@ def upper_bound_two_moments(moments: MomentVector) -> Number:
 
 
 def _require_variant(variant: str, a: Number, rho: Number) -> None:
-    """Reject an unknown variant, or a simplified one whose exponent
-    condition fails, before any cone check runs."""
+    """Reject an unknown variant, or "rho_ge_1_simple" off a = rho >= 1,
+    before any cone check runs."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "a_le_rho" and not a <= rho:
-        raise ValueError("variant 'a_le_rho' requires a <= rho")
-    if variant == "a_ge_rho" and not a >= rho:
-        raise ValueError("variant 'a_ge_rho' requires a >= rho")
-    if variant == "rho_ge_1_simple" and not rho >= 1:
-        raise ValueError("variant 'rho_ge_1_simple' requires rho >= 1")
-
-
-# The two window points of each two-term simplified variant, as offsets k
-# from delta.
-_POINT_OFFSETS = {"a_le_rho": (0, 1), "a_ge_rho": (-1, 0)}
-
-
-def _window_origin(
-    dd: _DeltaDecomposition, d1: Number, d2: Number, a: Number, rho: Number
-) -> tuple:
-    """(delta, a, rho, delta**a, delta**rho), the origin of a simplified
-    variant's points, with delta**rho = d2/d1 exact whenever the inputs are."""
-    delta, d_rho = dd.delta, d2 / d1
-    d_a = d_rho if a == rho else rpow(delta, a)
-    return delta, a, rho, d_a, d_rho
-
-
-def _point(win: tuple, k: int) -> tuple[Number, Number]:
-    """(y**a, y**rho) at the point y = x + k of the window ``win``."""
-    x, a, rho, x_a, x_rho = win
-    if k == 0:
-        return x_a, x_rho
-    return rpow(x + k, a), rpow(x + k, rho)
-
-
-def _lower_term(
-    d1: Number, w: Number, big_b: Number, win: tuple, k: int, top: tuple
-) -> Number:
-    """d1 * w * (n**a - y**a) / (n**a * B * (n**rho - y**rho)) at the point
-    y = x + k, for weight w, B = b**a (delta**a in "rho_ge_1_simple") and
-    top = (n**a, n**rho)."""
-    (y_a, y_rho), (n_a, n_rho) = _point(win, k), top
-    return d1 * w * (n_a - y_a) / (n_a * big_b * (n_rho - y_rho))
+    if variant == "rho_ge_1_simple" and not a == rho >= 1:
+        raise ValueError("variant 'rho_ge_1_simple' requires a == rho >= 1")
 
 
 def lower_bound_three_moments(
@@ -633,15 +537,13 @@ def lower_bound_three_moments(
     d2 = n**rho * s2 - s3, whose own ratio locates a window next to the top
     index. The "refined" variant is the total mass of the vector on
     (b, b+1, n), or (b, n) on a point (``_window_bound``); it is sharp for
-    vectors supported there. The simplified variants add to s1/n**a a
-    ``_lower_term`` at each of their points, weighted 1 - theta_refined and
-    theta_refined: "a_le_rho" takes (delta, delta+1) and "a_ge_rho"
-    (delta-1, delta); "rho_ge_1_simple" (requires rho >= 1) takes one term
-    of weight one, at delta when a < rho, else at delta-1.
+    vectors supported there. "rho_ge_1_simple" (requires a == rho >= 1) is
+    the paper's one-term form s1/n**a + d1/(n**a * delta**a), where
+    delta**a = d2/d1.
     """
     params = moments.params
     values, a, rho = _arithmetic(moments, 3)
-    _require_variant(variant, params.a, params.rho)
+    _require_variant(variant, a, rho)
     s1, scale, n = values[0], values[-1], params.n_support
     d1, d2 = _lower_three_cone(values, scale, n, rho)
     if d1 == 0:  # all mass sits at the top index
@@ -650,46 +552,10 @@ def lower_bound_three_moments(
         return moments.sbar[0]
     if variant == "refined":
         return _window_bound("lower", 3, d1, d2, s1, scale, a, rho, n)
-    if variant == "rho_ge_1_simple" and a == rho and type(scale) is int:
-        return Fraction(d1 * d1 + s1 * d2, n**a * d2 * scale)  # d1/(n**a*delta**a)
-    d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
-    n_a, n_rho = n**a, n**rho
-    dd = _delta_decomposition(d1, d2, rho)
-    b, tbar = dd.base, dd.theta_refined
-    win, top = _window_origin(dd, d1, d2, a, rho), (n_a, n_rho)
-    if variant == "rho_ge_1_simple":
-        d_a = win[3]
-        if a == rho:  # the term's power ratio is exactly one
-            value = d1 / (n_a * d_a)
-        else:
-            value = _lower_term(d1, 1, d_a, win, 0 if a < rho else -1, top)
-    else:
-        lo, hi = _POINT_OFFSETS[variant]
-        value = _lower_term(d1, 1 - tbar, rpow(b, a), win, lo, top)
-        if tbar != 0:
-            value = value + _lower_term(d1, tbar, rpow(b + 1, a), win, hi, top)
-    return _possible(value + s1 / n_a, "lower", s1, n, a)
-
-
-def _power_ratio(x: Number, a: Number, rho: Number) -> Number:
-    """(x**a - 1) / (x**rho - 1), read at x = 1 as its limit a/rho."""
-    if a == rho:
-        return 1
-    if x == 1:
-        return Fraction(a) / Fraction(rho) if all_exact(a, rho) else a / rho
-    return (rpow(x, a) - 1) / (rpow(x, rho) - 1)
-
-
-def _upper_term(d1: Number, w: Number, big_b: Number, win: tuple, k: int) -> Number:
-    """d1 * w * (y**a - 1) / (B * (y**rho - 1)) at the point y = x + k, for
-    weight w and B = b**a (delta**a in "rho_ge_1_simple"). At y = delta - 1,
-    which is 1 when delta = 2, it is d1 * w * R / B with R the
-    ``_power_ratio``."""
-    if k < 0:
-        x, a, rho = win[:3]
-        return d1 * w * _power_ratio(x + k, a, rho) / big_b
-    y_a, y_rho = _point(win, k)
-    return d1 * w * (y_a - 1) / (big_b * (y_rho - 1))
+    if type(scale) is int:
+        return Fraction(d1 * d1 + s1 * d2, n**a * d2 * scale)
+    n_a = n**a
+    return _possible(d1 / (n_a * (d2 / d1)) + s1 / n_a, "lower", s1, n, a)
 
 
 def upper_bound_three_moments(
@@ -700,13 +566,13 @@ def upper_bound_three_moments(
     Works through d1 = s2 - s1 and d2 = s3 - s2; their ratio locates a
     window away from index one. The "refined" variant is the total mass of
     the vector on (1, b, b+1), or (1, b) on a point (``_window_bound``), and
-    is sharp for vectors supported there. A simplified variant is s1 minus
-    an ``_upper_term`` at each of the points the lower bound's variant of
-    the same name takes.
+    is sharp for vectors supported there. "rho_ge_1_simple" (requires
+    a == rho >= 1) is the paper's one-term form s1 - d1/delta**a, where
+    delta**a = d2/d1.
     """
     params = moments.params
     values, a, rho = _arithmetic(moments, 3)
-    _require_variant(variant, params.a, params.rho)
+    _require_variant(variant, a, rho)
     s1, scale, n = values[0], values[-1], params.n_support
     d1, d2 = _upper_three_cone(values, scale, n, rho)
     if d1 == 0:  # all mass sits at index one
@@ -715,20 +581,9 @@ def upper_bound_three_moments(
         return moments.sbar[0]
     if variant == "refined":
         return _window_bound("upper", 3, d1, d2, s1, scale, a, rho, n)
-    if variant == "rho_ge_1_simple" and a == rho and type(scale) is int:
-        return Fraction(s1 * d2 - d1 * d1, d2 * scale)  # s1 - d1/delta**a
-    d1, d2, s1 = _ratio(d1, scale), _ratio(d2, scale), _ratio(s1, scale)
-    dd = _delta_decomposition(d1, d2, rho)
-    b, tbar = dd.base, dd.theta_refined  # b >= 2 after the cone checks
-    win = _window_origin(dd, d1, d2, a, rho)
-    if variant == "rho_ge_1_simple":
-        value = s1 - _upper_term(d1, 1, win[3], win, 0 if a < rho else -1)
-    else:
-        lo, hi = _POINT_OFFSETS[variant]
-        value = s1 - _upper_term(d1, 1 - tbar, rpow(b, a), win, lo)
-        if tbar != 0:
-            value = value - _upper_term(d1, tbar, rpow(b + 1, a), win, hi)
-    return _possible(value, "upper", s1, n, a)
+    if type(scale) is int:
+        return Fraction(s1 * d2 - d1 * d1, d2 * scale)
+    return _possible(s1 - d1 / (d2 / d1), "upper", s1, n, a)
 
 
 def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
@@ -739,6 +594,9 @@ def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
     """
     if not 1 < p < math.inf:
         raise ValueError(f"p must be finite and exceed 1, got {p!r}")
+    for value in (alpha1, alphap):
+        if isinstance(value, bool) or not _finite(value):
+            raise ValueError(f"moments must be finite numbers, got {value!r}")
     if alpha1 < 0 or alphap < 0:
         raise ValueError("moments must be non-negative")
     if alpha1 == 0:
@@ -772,12 +630,19 @@ def general_bound(
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("feature rows must all have the same length")
+    if not all(_finite(x) for row in rows for x in row):
+        raise ValueError("feature values must be finite")
     if any(x < 0 for row in rows for x in row):
         raise ValueError("feature values must be non-negative")
     moments = tuple(sbar)
     if len(moments) != ell:
         raise ValueError("one moment per feature row is required")
-    idx = tuple(int(i) for i in indices)
+    if not all(map(_finite, moments)):
+        raise ValueError("moments must be finite")
+    indices = tuple(indices)
+    idx = tuple(None if isinstance(i, bool) else integral_value(i) for i in indices)
+    if None in idx:
+        raise ValueError(f"indices must be integers, got {indices!r}")
     if len(idx) != ell:
         raise ValueError("one index per feature row is required")
     if any(not 1 <= i <= n for i in idx) or any(

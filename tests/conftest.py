@@ -419,9 +419,10 @@ def closed_form_upper_three(moments) -> Fraction:
     return s1 - t1 - t2
 
 
-# The simplified three-moment variants as weighted sums of the paper's term
-# at explicit points read off delta itself (a rational when rho = 1 and the
-# moments are), for genuine moments only: no cone checks.
+# The paper's simplified three-moment forms as weighted sums of its term at
+# explicit points read off delta itself (a rational when rho = 1 and the
+# moments are), for genuine moments only: no cone checks. The library keeps
+# only "rho_ge_1_simple" at a = rho; the refined bounds dominate them all.
 
 
 def _simplified_terms(variant: str, d1, d2, a, rho) -> list[tuple]:

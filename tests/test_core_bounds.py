@@ -2,7 +2,8 @@
 
 The closed-form bounds are cross-checked against the certified general
 engine on their own index windows, against brute-force moments of explicit
-vectors, and against each other (refined vs simplified variants).
+vectors, and against the paper's simplified three-moment forms, which the
+refined bounds dominate (their closed forms are oracles in conftest).
 """
 
 import math
@@ -35,15 +36,15 @@ from unionbounds import (
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
+    per_event_moments,
+    power_moments,
+    random_system,
     upper_bound_three_moments,
     upper_bound_two_moments,
 )
-from unionbounds.bounds import (
-    VARIANTS,
-    _DeltaDecomposition,
-    _delta_decomposition,
-    _index_window,
-)
+from unionbounds import bounds as bounds_module
+from unionbounds._numeric import floor_root
+from unionbounds.bounds import VARIANTS, _float_window, _index_window
 
 
 def make_moments(sbar, a=1, rho=1, n=3):
@@ -52,79 +53,6 @@ def make_moments(sbar, a=1, rho=1, n=3):
 
 def random_vector(rng, n):
     return [Fraction(rng.randint(0, 8), rng.randint(1, 9)) for _ in range(n)]
-
-
-# -------------------------------------------------------- decomposition
-
-
-def test_delta_decomposition_rational_rho_one():
-    dd = _delta_decomposition(Fraction(2), Fraction(5), 1)
-    assert dd == _DeltaDecomposition(Fraction(5, 2), Fraction(1, 2), Fraction(1, 2), 2)
-
-
-def test_delta_decomposition_irrational_root_keeps_refined_exact():
-    dd = _delta_decomposition(Fraction(1), Fraction(5), 2)
-    assert dd.base == 2  # 4 <= 5 < 9
-    assert dd.theta_refined == Fraction(1, 5)
-    assert isinstance(dd.delta, float)
-    assert dd.delta == pytest.approx(5**0.5)
-    assert dd.theta == pytest.approx(5**0.5 - 2)
-
-
-def test_delta_decomposition_perfect_rational_root():
-    dd = _delta_decomposition(Fraction(4), Fraction(25), 2)
-    assert dd.delta == Fraction(5, 2)
-    assert dd.theta == Fraction(1, 2)
-    assert dd.theta_refined == (Fraction(25, 4) - 4) / (9 - 4)
-    assert dd.base == 2
-
-
-def test_delta_decomposition_integer_ratio():
-    dd = _delta_decomposition(Fraction(1, 3), Fraction(4, 3), 2)
-    assert dd == _DeltaDecomposition(Fraction(2), Fraction(0), Fraction(0), 2)
-
-
-def test_delta_decomposition_float_snaps_near_integers():
-    dd = _delta_decomposition(1.0, 8.0 * (1 + 1e-13), 3)
-    assert dd.base == 2
-    assert dd.theta == 0.0
-    assert dd.theta_refined == 0.0
-    assert dd.delta == 2.0
-
-
-def test_delta_decomposition_float_general():
-    dd = _delta_decomposition(1.0, 2.0, 1)
-    assert dd.delta == 2.0  # snapped integer
-    dd = _delta_decomposition(1.0, 2.5, 1)
-    assert dd.base == 2
-    assert dd.theta == pytest.approx(0.5)
-    assert dd.theta_refined == pytest.approx(0.5)
-
-
-def test_delta_decomposition_zero_and_errors():
-    dd = _delta_decomposition(Fraction(0), Fraction(0), 2)
-    assert dd == _DeltaDecomposition(Fraction(0), Fraction(0), Fraction(0), 0)
-    assert _delta_decomposition(0.0, 0, 1).delta == 0.0
-    with pytest.raises(MomentConsistencyError):
-        _delta_decomposition(0, 1, 1)
-    with pytest.raises(ValueError):
-        _delta_decomposition(1, 1, 0)
-    with pytest.raises(ValueError):
-        _delta_decomposition(-1, 1, 1)
-
-
-def test_delta_decomposition_invariants_seeded():
-    rng = random.Random(11)
-    for _ in range(300):
-        s_lo = Fraction(rng.randint(1, 50), rng.randint(1, 9))
-        ratio = Fraction(rng.randint(100, 900), 100)
-        rho = rng.choice((1, 2, 3))
-        dd = _delta_decomposition(s_lo, s_lo * ratio, rho)
-        assert 0 <= dd.theta < 1
-        assert 0 <= dd.theta_refined < 1
-        assert dd.base == int(dd.delta) or dd.theta == 0
-        if rho == 1:
-            assert dd.theta == dd.theta_refined == ratio - dd.base
 
 
 # ------------------------------------------------------------- domain types
@@ -531,19 +459,26 @@ def test_upper_three_refined_worked_value():
 
 
 def test_lower_three_simplified_variants_worked_values():
+    # the paper's two-term forms (oracles) meet the refined 9/10 here; its
+    # one-term form, in the library and as an oracle, stays below
     moments = make_moments(S3_OCCUPANCY)
-    assert lower_bound_three_moments(moments, "a_le_rho") == Fraction(9, 10)
-    assert lower_bound_three_moments(moments, "a_ge_rho") == Fraction(9, 10)
+    assert closed_form_lower_simple(moments, "a_le_rho") == Fraction(9, 10)
+    assert closed_form_lower_simple(moments, "a_ge_rho") == Fraction(9, 10)
+    assert closed_form_lower_simple(moments, "rho_ge_1_simple") == Fraction(43, 50)
     assert lower_bound_three_moments(moments, "rho_ge_1_simple") == Fraction(43, 50)
 
 
 def test_upper_three_degenerate_simple_falls_back_wide():
-    # delta = 2: the 0/0 power ratio is read as its limit a/rho, not as s1
+    # delta = 2: the paper's forms at delta - 1 = 1 read the 0/0 power ratio
+    # as its limit a/rho (the oracles), not as s1; at a = rho the library's
+    # form s1 - d1**2/d2 has no such ratio
     moments = make_moments(S3_OCCUPANCY)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = upper_bound_three_moments(moments, "rho_ge_1_simple")
     assert value == Fraction(9, 10)
+    for variant in ("rho_ge_1_simple", "a_ge_rho"):
+        assert closed_form_upper_simple(moments, variant) == Fraction(9, 10)
 
 
 def test_upper_three_refined_handles_delta_two_without_warning():
@@ -554,38 +489,41 @@ def test_upper_three_refined_handles_delta_two_without_warning():
 
 
 def test_three_moment_variant_constraints():
+    assert VARIANTS == ("refined", "rho_ge_1_simple")
     moments = make_moments(S3_OCCUPANCY, a=2, rho=1)
-    with pytest.raises(ValueError):
-        lower_bound_three_moments(moments, "a_le_rho")
-    with pytest.raises(ValueError):
-        upper_bound_three_moments(moments, "a_le_rho")
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
+        lower_bound_three_moments(moments, "rho_ge_1_simple")
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
+        upper_bound_three_moments(moments, "rho_ge_1_simple")
     narrow = MomentVector.from_vector(
-        [0.1, 0.4, 0.2], ExponentParams(1.0, 0.5, 3, 3)
+        [0.1, 0.4, 0.2], ExponentParams(0.5, 0.5, 3, 3)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
         lower_bound_three_moments(narrow, "rho_ge_1_simple")
-    with pytest.raises(ValueError):
-        lower_bound_three_moments(make_moments(S3_OCCUPANCY), "bogus")
+    # the paper's other simplified forms live in the tests as oracles only
+    for variant in ("a_le_rho", "a_ge_rho", "bogus"):
+        for bound in (lower_bound_three_moments, upper_bound_three_moments):
+            with pytest.raises(ValueError, match="unknown variant"):
+                bound(make_moments(S3_OCCUPANCY), variant)
 
 
 def test_variant_exponent_conditions_do_not_depend_on_the_moments():
-    # a simplified variant's exponent condition fails at (a, rho) whether
+    # the simplified variant's exponent condition fails at (a, rho) whether
     # or not the moments reach the d1 = 0 or n = 1 returns
-    with pytest.raises(ValueError, match="requires a <= rho"):
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
         upper_bound_three_moments(
-            MomentVector((1, 1, 1), ExponentParams(2, 1, 3, 3)), "a_le_rho"
+            MomentVector((1, 1, 1), ExponentParams(2, 1, 3, 3)), "rho_ge_1_simple"
         )
-    with pytest.raises(ValueError, match="requires a <= rho"):
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
         lower_bound_three_moments(
-            MomentVector((1, 9, 81), ExponentParams(2, 1, 3, 9)), "a_le_rho"
+            MomentVector((1, 9, 81), ExponentParams(2, 1, 3, 9)), "rho_ge_1_simple"
         )
     holds = {
         "refined": lambda a, rho: True,
-        "a_le_rho": lambda a, rho: a <= rho,
-        "a_ge_rho": lambda a, rho: a >= rho,
-        "rho_ge_1_simple": lambda a, rho: rho >= 1,
+        "rho_ge_1_simple": lambda a, rho: a == rho >= 1,
     }
-    for a, rho in ((2, 1), (1, 2), (1, Fraction(1, 2))):
+    pairs = ((2, 1), (1, 2), (1, Fraction(1, 2)), (2, 2), (Fraction(1, 2),) * 2)
+    for a, rho in pairs:
         for n, vector in ((3, [0, 0, 1]), (3, [1, 0, 0]), (1, [1]), (3, [1, 1, 1])):
             moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
             for bound in (lower_bound_three_moments, upper_bound_three_moments):
@@ -646,10 +584,9 @@ def test_float_three_moment_bounds_at_one_support_point():
         (Fraction(8, 7), 1.1428571428457142, Fraction(8, 7)),
         ExponentParams(3, 3, 3, 1),
     )
-    for variant in ("refined", "a_ge_rho", "rho_ge_1_simple"):
-        assert upper_bound_three_moments(upper, variant) == upper.sbar[0]
-    with pytest.raises(ValueError, match="requires a <= rho"):
-        upper_bound_three_moments(upper, "a_le_rho")
+    assert upper_bound_three_moments(upper) == upper.sbar[0]
+    with pytest.raises(ValueError, match="requires a == rho >= 1"):
+        upper_bound_three_moments(upper, "rho_ge_1_simple")
     for variant in VARIANTS:
         assert lower_bound_three_moments(lower, variant) == lower.sbar[0]
     params = ExponentParams(2.5, 1.25, 3, 1)
@@ -662,17 +599,16 @@ def test_float_three_moment_bounds_at_one_support_point():
 def test_impossible_float_bounds_raise():
     # sum(r) lies in [s1/n**a, s1], so a float upper bound below s1/n**a, or
     # a value that is not finite, is cancelled arithmetic: these vectors sum
-    # to 0.8, and the refined upper bound read 0.0 at n = 5 and three
-    # variants read -inf at n = 10
+    # to 0.8, and the refined upper bound read 0.0 at n = 5 and -inf at
+    # n = 10
     params = ExponentParams(120.5, 2.5, 3, 5)
     moments = MomentVector.from_vector([0.5, 0.0, 0.0, 0.0, 0.3], params)
     with pytest.raises(ArithmeticError, match="impossible"):
         upper_bound_three_moments(moments)
     params = ExponentParams(300.5, 2.5, 3, 10)
     moments = MomentVector.from_vector([0.5] + [0.0] * 8 + [0.3], params)
-    for variant in ("refined", "a_ge_rho", "rho_ge_1_simple"):
-        with pytest.raises(ArithmeticError, match="impossible"):
-            upper_bound_three_moments(moments, variant)
+    with pytest.raises(ArithmeticError, match="impossible"):
+        upper_bound_three_moments(moments)
 
 
 def test_float_window_snaps_a_ratio_next_to_an_integer_root():
@@ -866,26 +802,8 @@ def test_three_moment_bounds_sandwich_explicit_vectors():
         assert lower >= lower_bound_two_moments(two)
 
 
-def test_simplified_variants_are_wide_when_applicable():
-    rng = random.Random(59)
-    for _ in range(80):
-        n = rng.randint(3, 8)
-        rho = rng.randint(1, 3)
-        a = rng.randint(1, 3)
-        values = random_vector(rng, n)
-        moments = MomentVector.from_vector(values, ExponentParams(a, rho, 3, n))
-        refined_lower = lower_bound_three_moments(moments)
-        refined_upper = upper_bound_three_moments(moments)
-        variants = ["rho_ge_1_simple"]
-        variants.append("a_le_rho" if a <= rho else "a_ge_rho")
-        for variant in variants:
-            loose_lower = lower_bound_three_moments(moments, variant)
-            assert float(loose_lower) <= float(refined_lower) + 1e-9
-            loose_upper = upper_bound_three_moments(moments, variant)
-            assert float(loose_upper) >= float(refined_upper) - 1e-9
-
-
 def _simplified_variants(a, rho) -> list[str]:
+    """The paper's simplified three-moment forms that apply at (a, rho)."""
     variants = ["rho_ge_1_simple"] if rho >= 1 else []
     if a <= rho:
         variants.append("a_le_rho")
@@ -894,44 +812,67 @@ def _simplified_variants(a, rho) -> list[str]:
     return variants
 
 
+def test_simplified_variants_are_wide_when_applicable():
+    # the refined bounds dominate the paper's simplified forms (the conftest
+    # oracles) on the per-event and occupancy vectors of every 5th system of
+    # acceptance 1's corpus: exactly at rho = 1, and to 1e-12 relative at
+    # rho = 2, where an oracle takes a float root of delta
+    profiles = ("dense", "sparse", "disjoint-ish")
+    rng = random.Random(20260814)
+    checked = 0
+    for seed in range(1000):
+        events, atoms = rng.randint(1, 10), rng.randint(1, 256)
+        if seed % 5:
+            continue
+        system = random_system(seed, events, atoms, profiles[seed % 3])
+        for a, rho in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)):
+            params = ExponentParams(a, rho, 3, system.n_events)
+            columns = zip(*per_event_moments(system, a, rho, ell=3).sbar)
+            vectors = [column for column in columns if column[0] != 0]
+            vectors.append(tuple(power_moments(system, e) for e in params.exponents))
+            for sbar in vectors:
+                moments = MomentVector(sbar, params)
+                lower = lower_bound_three_moments(moments)
+                upper = upper_bound_three_moments(moments)
+                for variant in _simplified_variants(a, rho):
+                    loose_lower = closed_form_lower_simple(moments, variant)
+                    loose_upper = closed_form_upper_simple(moments, variant)
+                    case = (seed, a, rho, sbar, variant)
+                    if rho == 1:
+                        assert type(loose_lower) is type(loose_upper) is Fraction
+                        assert loose_lower <= lower and upper <= loose_upper, case
+                    else:
+                        assert loose_lower - lower <= 1e-12 * abs(lower), case
+                        assert upper - loose_upper <= 1e-12 * abs(loose_upper), case
+                    checked += 1
+    assert checked > 17_000
+
+
 def test_simplified_variants_equal_their_closed_forms():
-    # the variants only move the points of the terms: exact at rho = 1,
-    # where delta is rational, and to 1e-12 on float moments and exponents
-    # (n >= 3 there: at n = 2 the float delta sits on an integer, which the
-    # library snaps and the oracle does not)
+    # "rho_ge_1_simple" at a = rho, the one simplified form left in the
+    # library, equals its closed form: exactly on rational moments, where
+    # delta may be irrational but delta**a = d2/d1, and to 1e-12 on floats
     rng = random.Random(61)
     pairs = (
         (lower_bound_three_moments, closed_form_lower_simple),
         (upper_bound_three_moments, closed_form_upper_simple),
     )
-    checked = set()
     for trial in range(240):
-        n = rng.randint(2 + trial % 2, 9)
+        n = rng.randint(2, 9)
         if trial % 2:
-            a, rho = rng.choice(((1, 1), (2, 1), (3, 1), (1.5, 1.25), (0.7, 2.3)))
+            a = rng.choice((1.25, 1.5, 2.5))
             vector = [rng.uniform(0.05, 1.0) for _ in range(n)]
         else:
-            a, rho = rng.choice((1, 2, 3)), 1
-            vector = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        moments = MomentVector.from_vector(vector, ExponentParams(a, rho, 3, n))
-        for variant in _simplified_variants(a, rho):
-            for bound, oracle in pairs:
-                got, want = bound(moments, variant), oracle(moments, variant)
-                if moments.exact:
-                    assert type(got) is Fraction and got == want
-                else:
-                    assert math.isclose(got, want, rel_tol=1e-12)
-                checked.add((variant, moments.exact))
-    assert len(checked) == 6
-    # exact at a = rho > 1 too, where delta is irrational but delta**a = d2/d1
-    for trial in range(60):
-        n, rho = rng.randint(2, 9), 2 + trial % 2
-        vector = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n)]
-        moments = MomentVector.from_vector(vector, ExponentParams(rho, rho, 3, n))
+            a = rng.choice((1, 2, 3))
+            vector = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n)]
+        moments = MomentVector.from_vector(vector, ExponentParams(a, a, 3, n))
         for bound, oracle in pairs:
             got = bound(moments, "rho_ge_1_simple")
-            assert type(got) is Fraction
-            assert got == oracle(moments, "rho_ge_1_simple")
+            want = oracle(moments, "rho_ge_1_simple")
+            if moments.exact:
+                assert type(got) is Fraction and got == want
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12)
 
 
 # ------------------------------------------------------------ general engine
@@ -950,7 +891,7 @@ def test_general_bound_matches_closed_forms_on_their_windows():
         features = power_feature_matrix(params2)
         s1, s2 = moments.sbar
         # general_bound needs ell points in 1..n, so b is clamped to keep them
-        b = min(max(_delta_decomposition(s1, s2, rho).base, 1), n - 1)
+        b = min(max(floor_root(s2 / s1, rho), 1), n - 1)
         window = _index_window("lower", 2, b, n)
         outcome = general_bound(features, moments.sbar, window, "lower")
         assert outcome.bound_value == lower_bound_two_moments(moments)
@@ -966,14 +907,14 @@ def test_general_bound_matches_closed_forms_on_their_windows():
             d1 = n_rho * moments3.sbar[0] - moments3.sbar[1]
             d2 = n_rho * moments3.sbar[1] - moments3.sbar[2]
             if d1 > 0:
-                b = min(max(_delta_decomposition(d1, d2, rho).base, 1), n - 2)
+                b = min(max(floor_root(d2 / d1, rho), 1), n - 2)
                 window3 = _index_window("lower", 3, b, n)
                 outcome = general_bound(features3, moments3.sbar, window3, "lower")
                 assert outcome.bound_value == lower_bound_three_moments(moments3)
             h1 = moments3.sbar[1] - moments3.sbar[0]
             h2 = moments3.sbar[2] - moments3.sbar[1]
             if h1 > 0:
-                b = min(max(_delta_decomposition(h1, h2, rho).base, 2), n - 1)
+                b = min(max(floor_root(h2 / h1, rho), 2), n - 1)
                 window3 = _index_window("upper", 3, b, n)
                 outcome = general_bound(features3, moments3.sbar, window3, "upper")
                 assert outcome.bound_value == upper_bound_three_moments(moments3)
@@ -1026,6 +967,18 @@ def test_general_bound_input_validation():
         general_bound(features, (1, 2), (1, 2), "sideways")
     with pytest.raises(ValueError):
         general_bound([[1, 1, 1], [1, 1, 1]], (1, 1), (1, 2), "lower")  # singular
+    # non-integral and bool indices, NaN or inf moments and features
+    for indices in ((1.7, 2.2), (True, 2), (1, math.nan), (1, math.inf)):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            general_bound(features, (1, 2), indices, "lower")
+    assert general_bound(features, (1, 2), (1.0, Fraction(2)), "lower").indices == (1, 2)
+    for sbar in ((math.nan, 2), (1, math.inf)):
+        with pytest.raises(ValueError, match="moments must be finite"):
+            general_bound(features, sbar, (1, 2), "lower")
+    for bad in (math.inf, math.nan):
+        rows = (features[0], (1, 2, bad))
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            general_bound(rows, (1, 2), (1, 2), "lower")
 
 
 def test_exhaustive_search_agrees_with_closed_forms():
@@ -1047,13 +1000,15 @@ def test_exhaustive_search_agrees_with_closed_forms():
 
 
 def test_upper_three_simple_variants_valid_at_delta_two():
-    # delta = 2 exactly when the vector lives on {1, 2}; there the limit
-    # a/rho keeps both a >= rho variants between the sum and s1, and never
-    # below the refined bound or the best certified window
+    # delta = 2 exactly when the vector lives on {1, 2}; there the paper's
+    # a >= rho forms (oracles, which read the 0/0 power ratio at delta - 1
+    # as its limit a/rho) and the library's "rho_ge_1_simple" at a = rho
+    # stay between the sum and s1, and never below the refined bound or the
+    # best certified window
     rng = random.Random(73)
     for trial in range(120):
         n = rng.randint(3, 6)
-        a, rho = rng.choice(((1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (1.5, 1.25)))
+        a, rho = rng.choice(((1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (1.25, 1.25)))
         values = [Fraction(0)] * n
         values[0] = Fraction(rng.randint(0, 8), rng.randint(1, 9))
         values[1] = Fraction(rng.randint(1, 8), rng.randint(1, 9))
@@ -1063,8 +1018,13 @@ def test_upper_three_simple_variants_valid_at_delta_two():
         best = exhaustive_index_search(
             power_feature_matrix(params), moments.sbar, "upper"
         )
-        for variant in ("rho_ge_1_simple", "a_ge_rho"):
-            value = upper_bound_three_moments(moments, variant)
+        simple = {}
+        if a == rho:
+            simple["src"] = upper_bound_three_moments(moments, "rho_ge_1_simple")
+        if moments.exact:
+            for variant in ("rho_ge_1_simple", "a_ge_rho"):
+                simple[variant] = closed_form_upper_simple(moments, variant)
+        for variant, value in simple.items():
             case = (trial, a, rho, values, variant)
             assert float(sum(values)) <= float(value) + 1e-9, case
             assert float(value) <= float(moments.sbar[0]) + 1e-9, case
@@ -1086,6 +1046,106 @@ def test_index_window_shapes():
     assert _index_window("upper", 3, 3, 9, on_point=True) == (1, 3)
 
 
+# -------------------------------------------------- delta decomposition
+#
+# delta = (s2/s1)**(1/rho) splits into the window base b = floor(delta) and
+# the refined weight t of b+1; the window is on the point b when t = 0.
+# Exact moments take b by an integer root inside the kernel, floats by
+# ``_float_window``.
+
+
+def _exact_window(monkeypatch, s_lo, s_hi, rho):
+    """(b, on_point) the exact two-moment kernel picks, and its bound at a = 1,
+    which must equal the independent closed form."""
+    windows = []
+
+    def recorded(kind, ell, b, n, on_point=False):
+        windows.append((b, on_point))
+        return _index_window(kind, ell, b, n, on_point)
+
+    monkeypatch.setattr(bounds_module, "_index_window", recorded)
+    moments = MomentVector((s_lo, s_hi), ExponentParams(1, rho, 2, 10))
+    bound = lower_bound_two_moments(moments)
+    assert bound == closed_form_lower_two(moments)
+    assert len(windows) == 1
+    return windows[0], bound
+
+
+def test_delta_decomposition_rational_rho_one(monkeypatch):
+    # delta = 5/2: b = 2, t = 1/2, bound 2 * (1/2 / 2 + 1/2 / 3)
+    window, bound = _exact_window(monkeypatch, Fraction(2), Fraction(5), 1)
+    assert window == (2, False)
+    assert bound == Fraction(5, 6)
+
+
+def test_delta_decomposition_irrational_root_keeps_refined_exact(monkeypatch):
+    # delta = sqrt(5) is irrational, yet b = 2 (4 <= 5 < 9) and the refined
+    # weight t = (5 - 4) / (9 - 4) = 1/5 stay rational
+    window, bound = _exact_window(monkeypatch, Fraction(1), Fraction(5), 2)
+    assert window == (2, False)
+    assert type(bound) is Fraction
+    assert bound == Fraction(4, 5) / 2 + Fraction(1, 5) / 3
+
+
+def test_delta_decomposition_perfect_rational_root(monkeypatch):
+    # delta = 5/2 at rho = 2: t = (25/4 - 4) / (9 - 4) = 9/20
+    window, bound = _exact_window(monkeypatch, Fraction(4), Fraction(25), 2)
+    assert window == (2, False)
+    assert bound == 4 * (Fraction(11, 20) / 2 + Fraction(9, 20) / 3)
+
+
+def test_delta_decomposition_integer_ratio(monkeypatch):
+    # s2/s1 = 4 = 2**2: the window is on the point 2
+    window, bound = _exact_window(monkeypatch, Fraction(1, 3), Fraction(4, 3), 2)
+    assert window == (2, True)
+    assert bound == Fraction(1, 6)
+
+
+def test_delta_decomposition_float_snaps_near_integers():
+    # (delta, b, w): a delta within 1e-9 of an integer snaps onto it, with
+    # weight 0, so the window is on that point
+    assert _float_window(8.0 * (1 + 1e-13), 3.0) == (2.0, 2, 0.0)
+
+
+def test_delta_decomposition_float_general():
+    assert _float_window(2.0, 1.0) == (2.0, 2, 0.0)  # snapped integer
+    delta, b, w = _float_window(2.5, 1.0)
+    assert (delta, b) == (2.5, 2)
+    assert w == pytest.approx(0.5)
+
+
+def test_delta_decomposition_zero_and_errors(monkeypatch):
+    windows = []
+    monkeypatch.setattr(
+        bounds_module, "_index_window", lambda *args: windows.append(args)
+    )
+    # s1 = 0 needs no window
+    assert lower_bound_two_moments(make_moments([Fraction(0), Fraction(0)], 1, 2)) == 0
+    assert lower_bound_two_moments(make_moments([0.0, 0], 1, 1)) == 0.0
+    assert windows == []
+    with pytest.raises(MomentConsistencyError, match="s2 must vanish"):
+        lower_bound_two_moments(make_moments([0, 1], 1, 1))
+    with pytest.raises(ValueError):
+        ExponentParams(1, 0, 2, 3)
+    with pytest.raises(ValueError):
+        make_moments([-1, 1])
+
+
+def test_delta_decomposition_invariants_seeded(monkeypatch):
+    # b is the largest integer with b**rho <= s2/s1, found here by a search
+    rng = random.Random(11)
+    for _ in range(300):
+        s_lo = Fraction(rng.randint(1, 50), rng.randint(1, 9))
+        ratio = Fraction(rng.randint(100, 900), 100)
+        rho = rng.choice((1, 2, 3))
+        b = max(i for i in range(1, 10) if i**rho <= ratio)
+        window, bound = _exact_window(monkeypatch, s_lo, s_lo * ratio, rho)
+        assert window == (b, ratio == b**rho), (s_lo, ratio, rho)
+        t = (ratio - b**rho) / ((b + 1) ** rho - b**rho)
+        assert 0 <= t < 1
+        assert bound == s_lo * ((1 - t) / b + t / (b + 1))
+
+
 # ------------------------------------------------------------------- holder
 
 
@@ -1104,3 +1164,9 @@ def test_holder_lower_bound_errors():
         holder_lower_bound(1, 0, 2)
     with pytest.raises(ValueError):
         holder_lower_bound(-1, 1, 2)
+    for alpha1, alphap in (
+        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf),
+        (1, -math.inf), (True, 2), (1, True),
+    ):
+        with pytest.raises(ValueError, match="moments must be finite numbers"):
+            holder_lower_bound(alpha1, alphap, 2)

@@ -10,7 +10,6 @@ from unionbounds._numeric import (
     floor_root,
     integral_value,
     is_exact,
-    nth_root_exact,
     rpow,
     solve_linear,
 )
@@ -106,13 +105,6 @@ def test_floor_root_beyond_the_float_range():
         assert root**degree <= big < (root + 1) ** degree
 
 
-def test_nth_root_exact_beyond_the_float_range():
-    num, den = 3**400 + 2, 7**250
-    assert nth_root_exact(Fraction(num**3, den**3), 3) == Fraction(num, den)
-    assert nth_root_exact(Fraction(num**2, den**2), 2) == Fraction(num, den)
-    assert nth_root_exact(Fraction(num**3 + 1, den**3), 3) is None
-
-
 def test_floor_root_is_the_integer_part():
     import random
 
@@ -122,13 +114,6 @@ def test_floor_root_is_the_integer_part():
         degree = rng.randint(1, 6)
         root = floor_root(value, degree)
         assert Fraction(root) ** degree <= value < Fraction(root + 1) ** degree
-
-
-def test_nth_root_exact():
-    assert nth_root_exact(Fraction(8, 27), 3) == Fraction(2, 3)
-    assert nth_root_exact(Fraction(25, 4), 2) == Fraction(5, 2)
-    assert nth_root_exact(Fraction(2), 2) is None
-    assert nth_root_exact(Fraction(7, 5), 1) == Fraction(7, 5)
 
 
 def test_solve_linear_exact():

@@ -104,7 +104,7 @@ def test_exact_classic_and_paper_rows_need_no_delta_and_no_rpow(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called on an exact (1,1) row")
 
-    monkeypatch.setattr(bounds_module, "_delta_decomposition", refuse)
+    monkeypatch.setattr(bounds_module, "_float_window", refuse)
     monkeypatch.setattr(bounds_module, "rpow", refuse)
     for system in sample_systems(40, seed=131):
         report = compare_bounds(system, 1, 1)
@@ -112,27 +112,31 @@ def test_exact_classic_and_paper_rows_need_no_delta_and_no_rpow(monkeypatch):
 
 
 def test_float_section_builds_no_delta_decomposition(monkeypatch):
-    # the float refined rows pick their windows by the one float window rule,
-    # with no decomposition object per window
-    calls = []
-    decompose = bounds_module._delta_decomposition
+    # each float window of the refined rows is picked by one call of the one
+    # float window rule, and nothing else computes delta
+    calls = {"_float_window": 0, "_window_bound": 0}
+    for name in calls:
 
-    def counted(*args):
-        calls.append(args)
-        return decompose(*args)
+        def counted(*args, _name=name, _call=getattr(bounds_module, name)):
+            if _name == "_float_window" or type(args[5]) is float:  # scale
+                calls[_name] += 1
+            return _call(*args)
 
-    monkeypatch.setattr(bounds_module, "_delta_decomposition", counted)
+        monkeypatch.setattr(bounds_module, name, counted)
     for system in sample_systems(20, seed=137):
         fresh = EventSystem(system.weights, system.events)
         report = compare_bounds(fresh, 1.5, 1.25)
         assert report.all_pass
         assert any(e.arithmetic == "float" for e in report.entries)
-    assert calls == []
+    assert calls["_float_window"] == calls["_window_bound"] > 0
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.25, 1.5, 2.5])
 def test_kernel_float_window_is_the_decomposition_rule(monkeypatch, rho):
-    # q/p = b**rho * (1 +- k ulp), inside and outside the 1e-9 snap band
+    # q/p = b**rho * (1 +- k ulp), inside and outside the 1e-9 snap band;
+    # the documented rule: delta = (q/p)**(1/rho) within 1e-9 of an integer
+    # is on that point, else b = floor(delta) and the window is on the point
+    # b when its refined weight (q/p - b**rho) / ((b+1)**rho - b**rho) <= 0
     windows = []
     index_window = bounds_module._index_window
 
@@ -151,8 +155,14 @@ def test_kernel_float_window_is_the_decomposition_rule(monkeypatch, rho):
         p = 0.375
         q = ratio * p
         bounds_module._window_bound("lower", 2, p, q, p, 1.0, 1.0, rho, 100)
-        dd = bounds_module._delta_decomposition(p, q, rho)
-        expected.append((dd.base, dd.theta_refined == 0))
+        r = q / p
+        delta = r ** (1.0 / rho)
+        if abs(delta - round(delta)) < 1e-9:
+            expected.append((round(delta), True))
+            continue
+        b = int(delta)
+        w = (r - b**rho) / ((b + 1) ** rho - b**rho)
+        expected.append((b, w <= 0))
     assert windows == expected
     assert {on_point for _, on_point in windows} == {True, False}
     if rho == 1.5:
