@@ -12,15 +12,11 @@ Arithmetic stays exact over the rationals whenever the inputs allow it.
 """
 
 from .bounds import (
+    _GENERAL,
     VARIANTS,
-    CertificateError,
     ExponentParams,
-    GeneralBoundOutcome,
-    InfeasibleIndicesError,
     MomentConsistencyError,
     MomentVector,
-    general_bound,
-    holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -100,9 +96,12 @@ _BOREL_CANTELLI = (
 
 def __getattr__(name: str):
     if name in _BOREL_CANTELLI:
-        from . import borel_cantelli
-        return getattr(borel_cantelli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import borel_cantelli as module
+    elif name in _GENERAL:
+        from . import _general as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def __dir__() -> list[str]:

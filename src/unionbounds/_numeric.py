@@ -3,7 +3,7 @@
 Arithmetic runs in two modes: exact ``fractions.Fraction`` whenever the inputs
 are rational and the exponents are integers, IEEE doubles otherwise. The
 helpers here keep that dispatch in one place so the bound formulas read like
-the mathematics.
+the mathematics. ``Record`` is the base of the frozen value records.
 """
 
 from __future__ import annotations
@@ -98,44 +98,36 @@ def floor_root(value: Number, degree: int) -> int:
         b = nxt
 
 
-def solve_linear(
-    matrix: Sequence[Sequence[Number]], rhs: Sequence[Number]
-) -> list[Number]:
-    """Solve a small dense square linear system.
+class Record:
+    """Base of the library's frozen value records, without the cost of
+    generating a dataclass in every process.
 
-    Gaussian elimination with partial pivoting. The solve is exact when every
-    entry is rational. Raises ValueError on a singular system.
+    A subclass names its fields in ``_fields`` and stores them through
+    ``self.__dict__`` in its own ``__init__``. Equality (same class only),
+    hash and repr read those fields as a frozen dataclass would; assigning
+    or deleting an attribute raises AttributeError. ``cached_property``
+    values go to ``__dict__`` directly and are not fields.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix) or len(rhs) != n:
-        raise ValueError("matrix must be square and match the right-hand side")
-    exact = all_exact(*(x for row in matrix for x in row)) and all_exact(*rhs)
-    if exact:
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(b)]
-            for row, b in zip(matrix, rhs)
-        ]
-    else:
-        aug = [
-            [float(x) for x in row] + [float(b)] for row, b in zip(matrix, rhs)
-        ]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ValueError("singular linear system")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / head
-            if factor == 0:
-                continue
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    solution: list[Number] = [0] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n]
-        for c in range(r + 1, n):
-            acc -= aug[r][c] * solution[c]
-        solution[r] = acc / aug[r][r]
-    return solution
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

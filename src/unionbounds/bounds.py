@@ -2,8 +2,9 @@
 
 Given s_k = sum_i i**(a + (k-1)*rho) * r_i for an unknown non-negative vector
 r over indices 1..n, the functions here return certified lower and upper
-bounds on sum(r) from two or three moments; a general engine handles
-arbitrary non-negative feature rows with an explicit sign certificate.
+bounds on sum(r) from two or three moments. A general engine for arbitrary
+non-negative feature rows with an explicit sign certificate, and the Holder
+bound, live in ``_general``; their names here resolve on first use.
 
 Each refined bound is the total mass of the vector that matches the moments
 on its index window, and one kernel, ``_window_bound``, computes it for exact
@@ -27,19 +28,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from ._numeric import (
-    Number,
-    all_exact,
-    floor_root,
-    integral_value,
-    rpow,
-    solve_linear,
-)
+from ._numeric import Number, Record, all_exact, floor_root, integral_value, rpow
 
 _INTEGER_SNAP = 1e-9
 # Relative slack of every float inequality check, until outward rounding
@@ -53,14 +46,6 @@ class MomentConsistencyError(ValueError):
     """The supplied moments cannot come from any non-negative vector."""
 
 
-class CertificateError(ArithmeticError):
-    """The sign certificate of a chosen index window failed."""
-
-
-class InfeasibleIndicesError(ArithmeticError):
-    """The moment-matching vector on the chosen window has negative mass."""
-
-
 def _finite(x: Number) -> bool:
     """False for a float NaN or infinity; rationals are always finite."""
     return not isinstance(x, float) or math.isfinite(x)
@@ -72,25 +57,26 @@ def _require_finite(values: Iterable[float]) -> None:
         raise ValueError("moments must be finite")
 
 
-@dataclass(frozen=True)
-class ExponentParams:
+class ExponentParams(Record):
     """Exponent family a + (k-1)*rho, k = 1..ell, over support 1..n_support."""
 
-    a: Number
-    rho: Number
-    ell: int
-    n_support: int
+    _fields = ("a", "rho", "ell", "n_support")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "rho", "ell", "n_support"):
+    def __init__(self, a: Number, rho: Number, ell: int, n_support: int) -> None:
+        self.__dict__.update(a=a, rho=rho, ell=ell, n_support=n_support)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the fields; an integral ell or n_support (3.0) becomes an int."""
+        for name in self._fields:
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a bool")
-        for name in ("ell", "n_support"):  # integral values (3.0) kept as int
+        for name in ("ell", "n_support"):
             value = getattr(self, name)
             whole = value if type(value) is int else integral_value(value)
             if whole is None:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, whole)
+            self.__dict__[name] = whole
         if not _finite(self.a):
             raise ValueError("a must be finite")
         if not self.a > 0:
@@ -119,16 +105,19 @@ class ExponentParams:
         return tuple([self.a + j * self.rho for j in range(self.ell)])
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(Record):
     """The first ell power moments of a hidden non-negative vector.
 
     Integer moments are stored as Fractions."""
 
-    sbar: tuple[Number, ...]
-    params: ExponentParams
+    _fields = ("sbar", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sbar: Iterable[Number], params: ExponentParams) -> None:
+        self.__dict__.update(sbar=sbar, params=params)
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the moments and store them as a tuple."""
         values = tuple(self.sbar)
         if len(values) != self.params.ell:
             raise ValueError(
@@ -143,7 +132,7 @@ class MomentVector:
             if value < 0:
                 raise ValueError("moments must be non-negative")
             sbar.append(value)
-        object.__setattr__(self, "sbar", tuple(sbar))
+        self.__dict__["sbar"] = tuple(sbar)
 
     @property
     def exact(self) -> bool:
@@ -219,22 +208,6 @@ class _ScaledMoments(MomentVector):
     def sbar(self) -> tuple[Number, ...]:  # type: ignore[override]
         *sums, d = self._values
         return tuple(sums if type(d) is float else (Fraction(s, d) for s in sums))
-
-
-@dataclass(frozen=True)
-class GeneralBoundOutcome:
-    """Result of the certified general bound on a chosen index window."""
-
-    bound_value: Number
-    direction: str
-    indices: tuple[int, ...]
-    coefficients: tuple[Number, ...]
-    sign_certificate: tuple[Number, ...]
-    solution: Mapping[int, Number]
-
-
-def _zero_like(*values: Number) -> Number:
-    return Fraction(0) if all_exact(*values) else 0.0
 
 
 def _arithmetic(moments: MomentVector, ell: int) -> tuple[Sequence, Number, Number]:
@@ -586,101 +559,15 @@ def upper_bound_three_moments(
     return _possible(s1 - d1 / (d2 / d1), "upper", s1, n, a)
 
 
-def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
-    """Lower bound on P(union) from the first and p-th occupancy moments.
-
-    ((E xi)**p / E xi**p) ** (q/p) with 1/p + 1/q = 1. p = 2 recovers the
-    classic second-moment bound; larger p never improves on it.
-    """
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
-    for value in (alpha1, alphap):
-        if isinstance(value, bool) or not _finite(value):
-            raise ValueError(f"moments must be finite numbers, got {value!r}")
-    if alpha1 < 0 or alphap < 0:
-        raise ValueError("moments must be non-negative")
-    if alpha1 == 0:
-        return 0.0
-    if alphap == 0:
-        raise ValueError("alphap must be positive when alpha1 is")
-    p_f = float(p)
-    return (float(alpha1) ** p_f / float(alphap)) ** (1.0 / (p_f - 1.0))
+# Imported on first use (PEP 562): no report row needs them.
+_GENERAL = (
+    "CertificateError", "GeneralBoundOutcome", "InfeasibleIndicesError",
+    "general_bound", "holder_lower_bound",
+)
 
 
-def general_bound(
-    features: Sequence[Sequence[Number]],
-    sbar: Sequence[Number],
-    indices: Sequence[int],
-    direction: str,
-) -> GeneralBoundOutcome:
-    """Certified bound from generalized moments on a chosen index window.
-
-    Solves for coefficients making the chosen feature columns combine to one,
-    checks the sign certificate c_i = 1 - sum_j coeff_j * f[j][i-1] over all
-    columns (c_i >= 0 certifies a lower bound, c_i <= 0 an upper bound), and
-    reads the bound off the unique vector supported on ``indices`` that
-    reproduces the moments. Indices are 1-based support positions.
-    """
-    if direction not in ("lower", "upper"):
-        raise ValueError("direction must be 'lower' or 'upper'")
-    rows = [tuple(row) for row in features]
-    ell = len(rows)
-    if ell == 0:
-        raise ValueError("at least one feature row is required")
-    n = len(rows[0])
-    if any(len(row) != n for row in rows):
-        raise ValueError("feature rows must all have the same length")
-    if not all(_finite(x) for row in rows for x in row):
-        raise ValueError("feature values must be finite")
-    if any(x < 0 for row in rows for x in row):
-        raise ValueError("feature values must be non-negative")
-    moments = tuple(sbar)
-    if len(moments) != ell:
-        raise ValueError("one moment per feature row is required")
-    if not all(map(_finite, moments)):
-        raise ValueError("moments must be finite")
-    indices = tuple(indices)
-    idx = tuple(None if isinstance(i, bool) else integral_value(i) for i in indices)
-    if None in idx:
-        raise ValueError(f"indices must be integers, got {indices!r}")
-    if len(idx) != ell:
-        raise ValueError("one index per feature row is required")
-    if any(not 1 <= i <= n for i in idx) or any(
-        idx[j] >= idx[j + 1] for j in range(ell - 1)
-    ):
-        raise ValueError("indices must be strictly increasing and within 1..n")
-    exact = all_exact(*moments) and all_exact(*(x for row in rows for x in row))
-    tol = 0.0 if exact else _FLOAT_SLACK
-    try:
-        coeff = solve_linear(
-            [[rows[j][i - 1] for j in range(ell)] for i in idx], [1] * ell
-        )
-    except ValueError as exc:
-        raise ValueError(f"singular index system for indices {idx}") from exc
-    certificate = []
-    for i in range(1, n + 1):
-        c = 1 - sum(coeff[j] * rows[j][i - 1] for j in range(ell))
-        certificate.append(c)
-        if direction == "lower" and c < -tol:
-            raise CertificateError(
-                f"sign certificate violated at index {i}: c = {c} < 0"
-            )
-        if direction == "upper" and c > tol:
-            raise CertificateError(
-                f"sign certificate violated at index {i}: c = {c} > 0"
-            )
-    masses = solve_linear(
-        [[rows[k][i - 1] for i in idx] for k in range(ell)], list(moments)
-    )
-    mass_scale = max(1.0, abs(float(moments[0])))
-    solution: dict[int, Number] = {}
-    for i, mass in zip(idx, masses):
-        if mass < -tol * mass_scale:
-            raise InfeasibleIndicesError(
-                f"negative mass {mass} at index {i}; move the window"
-            )
-        solution[i] = mass if mass > 0 else _zero_like(mass)
-    bound = sum(solution.values())
-    return GeneralBoundOutcome(
-        bound, direction, idx, tuple(coeff), tuple(certificate), solution
-    )
+def __getattr__(name: str):
+    if name in _GENERAL:
+        from . import _general
+        return getattr(_general, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Real
 from typing import Iterable
 
-from ._numeric import Number, integral_value, rpow
+from ._numeric import Number, Record, integral_value, rpow
 
 JointRow = tuple[tuple[int, int], ...]  # (level i, D * P(xi = i, A_k)) pairs
 
 
-@dataclass(frozen=True)
-class EventSystem:
+class EventSystem(Record):
     """N events over weighted atoms.
 
     weights[j] is the probability of atom j; events[k] lists the atoms of
@@ -30,8 +28,12 @@ class EventSystem:
     validated constructor.
     """
 
-    weights: tuple[Fraction, ...]
-    events: tuple[tuple[int, ...], ...]
+    _fields = ("weights", "events")
+
+    def __init__(
+        self, weights: tuple[Fraction, ...], events: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.__dict__.update(weights=weights, events=events)
 
     @property
     def n_atoms(self) -> int:
@@ -156,11 +158,13 @@ def exact_union_probability(system: EventSystem) -> Fraction:
     return Fraction(sum(levels[1:]), denominator)
 
 
-@dataclass(frozen=True)
-class OccupancyProfile:
+class OccupancyProfile(Record):
     """p[i] = P(exactly i of the events occur), i = 0..N."""
 
-    p: tuple[Fraction, ...]
+    _fields = ("p",)
+
+    def __init__(self, p: tuple[Fraction, ...]) -> None:
+        self.__dict__["p"] = p
 
     @property
     def n_events(self) -> int:
@@ -200,8 +204,7 @@ def _level_sums(system: EventSystem, exponents: Iterable[int]) -> tuple[int, ...
     return (*(sum(i**e * v for i, v in occupied) for e in exponents), denominator)
 
 
-@dataclass(frozen=True)
-class PerEventMoments:
+class PerEventMoments(Record):
     """Per-event moments of the occupancy-deflated masses.
 
     sbar[j][k] = sum_i i**(a + j*rho - 1) * P(xi = i, A_k), the j+1-th power
@@ -212,11 +215,19 @@ class PerEventMoments:
     None).
     """
 
-    a: Number
-    rho: Number
-    n_events: int
-    _sums: tuple[tuple[Number, ...], ...]
-    _denominator: int | None
+    _fields = ("a", "rho", "n_events", "_sums", "_denominator")
+
+    def __init__(
+        self,
+        a: Number,
+        rho: Number,
+        n_events: int,
+        _sums: tuple[tuple[Number, ...], ...],
+        _denominator: int | None,
+    ) -> None:
+        self.__dict__.update(
+            a=a, rho=rho, n_events=n_events, _sums=_sums, _denominator=_denominator
+        )
 
     @cached_property
     def sbar(self) -> tuple[tuple[Number, ...], ...]:
@@ -247,10 +258,13 @@ def per_event_moments(
                     total[k] += term
                     term *= x
         return PerEventMoments(a, rho, n, tuple([*map(tuple, sums)]), denominator)
+    # each mass v / D once per entry, each exponent once per moment
+    masses = [[(i, v / denominator) for i, v in row] for row in table]
     floats = []
     for j in range(ell):
-        powers = [0.0] + [rpow(i, a + j * rho - 1) for i in range(1, n + 1)]
-        totals = (sum(powers[i] * (v / denominator) for i, v in row) for row in table)
+        e = a + j * rho - 1
+        powers = [0.0] + [rpow(i, e) for i in range(1, n + 1)]
+        totals = (sum(powers[i] * x for i, x in row) for row in masses)
         # from a list: tuple() of a generator is allocated for ten items and
         # shrunk, and shrunk tuples pile up on the interpreter's free lists
         floats.append(tuple([float(total) for total in totals]))

@@ -27,7 +27,6 @@ from .bounds import (
     _FLOAT_SLACK,
     _ScaledMoments,
     _require_finite,
-    holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -77,6 +76,8 @@ def holder_union_bound(system: EventSystem, p: Number) -> float:
 
     A non-integral p evaluates E xi**p in floating point.
     """
+    from ._general import holder_lower_bound
+
     return holder_lower_bound(power_moments(system, 1), power_moments(system, p), p)
 
 

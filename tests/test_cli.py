@@ -485,7 +485,9 @@ def test_serialize_system_canonical():
 # What each command loads. This process has imported every module already,
 # so each check runs in a fresh interpreter.
 SRC = str(Path(unionbounds.__file__).resolve().parents[1])
-ON_FIRST_USE = ("unionbounds._selftest", "unionbounds.borel_cantelli")
+ON_FIRST_USE = (
+    "unionbounds._selftest", "unionbounds.borel_cantelli", "unionbounds._general"
+)
 ESTIMATORS = ("bc_lower_estimate", "bc_upper_estimate", "kochen_stone_ratio")
 
 
@@ -534,6 +536,42 @@ def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
     assert out[-1] == repr(loaded)
 
 
+RECORDS = {
+    "bounds": ("ExponentParams", "MomentVector"),
+    "events": ("EventSystem", "OccupancyProfile", "PerEventMoments"),
+}
+DATACLASSES = {
+    "unions": ("BoundEntry", "BoundReport"),
+    "borel_cantelli": ("BCEstimate",),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bounds_loads_no_general_bound_and_generates_no_record(fmt, s3_path):
+    """A report never loads the certified general bound, and the records it
+    builds are plain classes; the records that tools rebuild with
+    ``dataclasses.replace`` stay dataclasses."""
+    argv = ["bounds", "--input", s3_path, "--format", fmt, "--a", "3/2", "--rho", "5/4"]
+    out = run_fresh(
+        f"""
+        import dataclasses, importlib, sys, unionbounds.cli
+        assert unionbounds.cli.main({argv!r}) == 0
+        print("unionbounds._general" in sys.modules)
+        kinds = {{}}
+        for table in ({RECORDS!r}, {DATACLASSES!r}):
+            for module, names in table.items():
+                module = importlib.import_module("unionbounds." + module)
+                for name in names:
+                    kinds[name] = dataclasses.is_dataclass(getattr(module, name))
+        print(kinds)
+        """
+    )
+    assert out[-2] == "False"
+    flags = {name: False for names in RECORDS.values() for name in names}
+    flags.update({name: True for names in DATACLASSES.values() for name in names})
+    assert out[-1] == repr(flags)
+
+
 def test_package_resolves_borel_cantelli_names_on_first_use():
     run_fresh(
         """
@@ -545,6 +583,10 @@ def test_package_resolves_borel_cantelli_names_on_first_use():
         from unionbounds import borel_cantelli
         assert bc_lower_estimate is borel_cantelli.bc_lower_estimate
         assert unionbounds.IndependentSequence is borel_cantelli.IndependentSequence
+        assert "unionbounds._general" not in sys.modules
+        from unionbounds import general_bound, _general
+        assert general_bound is _general.general_bound
+        assert unionbounds.bounds.CertificateError is _general.CertificateError
         namespace = {}
         exec("from unionbounds import *", namespace)
         assert set(unionbounds.__all__) <= set(namespace)

@@ -979,6 +979,15 @@ def test_general_bound_input_validation():
         rows = (features[0], (1, 2, bad))
         with pytest.raises(ValueError, match="feature values must be finite"):
             general_bound(rows, (1, 2), (1, 2), "lower")
+    # a bool moment or feature is no number, though it would solve as 1
+    for sbar in ((True, 2), (1, False)):
+        with pytest.raises(ValueError, match="moments must be numbers, not bools"):
+            general_bound(((1, 1, 1), (1, 2, 3)), sbar, (1, 2), "lower")
+    for rows in (((True, 1, 1), (1, 2, 3)), ((1, 1, 1), (1, 2, False))):
+        with pytest.raises(ValueError, match="feature values must be numbers, not"):
+            general_bound(rows, (1, 2), (1, 2), "lower")
+    outcome = general_bound(((1, 1, 1), (1, 2, 3)), (1, 2), (1, 2), "lower")
+    assert outcome.bound_value == 1
 
 
 def test_exhaustive_search_agrees_with_closed_forms():

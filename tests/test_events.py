@@ -252,6 +252,29 @@ def test_per_event_moments_float_mode_matches_naive_float_sum():
                 assert moments.sbar[j][k] == pytest.approx(naive, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "a, rho", [(Fraction(3, 2), Fraction(5, 4)), (Fraction(1, 2), Fraction(1, 3))]
+)
+def test_per_event_moments_at_fraction_exponents_are_direct_float_sums(a, rho):
+    """Each float moment is float(i) ** float(a + j*rho - 1) times the float
+    mass P(xi = i, A_k), summed over the event's levels in the order its
+    atoms first reach them: the same bits, however the exponents and masses
+    are shared between events and moments."""
+    cli_shape = random_system(41, 300, 3000, "sparse")
+    for system in [cli_shape, *_wide_systems(), *sample_systems(10, seed=31)]:
+        counts = naive_occupancy_counts(system)
+        moments = per_event_moments(system, a, rho, ell=3)
+        for k, event in enumerate(system.events):
+            masses: dict[int, Fraction] = {}
+            for atom in event:
+                level = counts[atom]
+                masses[level] = masses.get(level, 0) + system.weights[atom]
+            for j in range(3):
+                e = float(a + j * rho - 1)
+                direct = float(sum(float(i) ** e * float(v) for i, v in masses.items()))
+                assert moments.sbar[j][k].hex() == direct.hex()
+
+
 def test_report_makes_one_pass_over_incidences(monkeypatch):
     table = EventSystem.__dict__["joint_table"]
     passes = []

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from unionbounds._general import solve_linear
 from unionbounds._numeric import (
     all_exact,
     floor_root,
     integral_value,
     is_exact,
     rpow,
-    solve_linear,
 )
 
 
@@ -146,3 +146,86 @@ def test_solve_linear_shape_errors():
         solve_linear([[1, 2]], [1])
     with pytest.raises(ValueError):
         solve_linear([[1, 2], [3, 4]], [1])
+
+
+def _record_cases():
+    """(record, an equal record built apart, its repr) for each record class."""
+    from unionbounds import (
+        EventSystem,
+        ExponentParams,
+        MomentVector,
+        build_system,
+        general_bound,
+        occupancy_profile,
+        per_event_moments,
+    )
+
+    system = build_system(["1/2", "1/4", "1/4"], [[0, 1], [1, 2]])
+    twin = EventSystem(system.weights, system.events)
+    params = ExponentParams(Fraction(3, 2), 1, 3.0, 4)
+    moments = (1, Fraction(3, 2), 2.5)
+    window = (((1, 1, 1), (1, 2, 3)), (1, Fraction(3, 2)), (1, 2), "lower")
+    return {
+        "ExponentParams": (
+            params,
+            ExponentParams(Fraction(3, 2), 1, 3, 4),
+            "ExponentParams(a=Fraction(3, 2), rho=1, ell=3, n_support=4)",
+        ),
+        "MomentVector": (
+            MomentVector(moments, params),
+            MomentVector(moments, ExponentParams(Fraction(3, 2), 1, 3, 4)),
+            "MomentVector(sbar=(Fraction(1, 1), Fraction(3, 2), 2.5), "
+            "params=ExponentParams(a=Fraction(3, 2), rho=1, ell=3, n_support=4))",
+        ),
+        "EventSystem": (
+            system,
+            twin,
+            "EventSystem(weights=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), "
+            "events=((0, 1), (1, 2)))",
+        ),
+        "OccupancyProfile": (
+            occupancy_profile(system),
+            occupancy_profile(twin),
+            "OccupancyProfile(p=(Fraction(0, 1), Fraction(3, 4), Fraction(1, 4)))",
+        ),
+        "PerEventMoments": (
+            per_event_moments(system, 2, 1, ell=2),
+            per_event_moments(twin, 2, 1, ell=2),
+            "PerEventMoments(a=2, rho=1, n_events=2, _sums=((4, 3), (6, 5)), "
+            "_denominator=4)",
+        ),
+        "GeneralBoundOutcome": (
+            general_bound(*window),
+            general_bound(*window),
+            "GeneralBoundOutcome(bound_value=Fraction(1, 1), direction='lower', "
+            "indices=(1, 2), coefficients=(Fraction(1, 1), Fraction(0, 1)), "
+            "sign_certificate=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "solution={1: Fraction(1, 2), 2: Fraction(1, 2)})",
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_record_cases()))
+def test_records_compare_hash_print_and_refuse_assignment(name):
+    """The plain records keep what their frozen dataclasses gave: field-wise
+    equality within one class, a hash of the field tuple, the same repr
+    text, and no assignment or deletion."""
+    record, twin, text = _record_cases()[name]
+    assert type(record).__name__ == name
+    assert repr(record) == repr(twin) == text
+    assert record == twin and record is not twin and not record != twin
+    fields = tuple(getattr(record, field) for field in record._fields)
+    assert record != fields  # another class never compares equal
+    if name == "GeneralBoundOutcome":  # its solution is a dict
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == hash(fields)
+    field = record._fields[0]
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        record.new_name = 0
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, field)
+    assert getattr(record, field) == getattr(twin, field)

@@ -1,7 +1,6 @@
 """Tests for the union-bound layer: worked constants, identities between the
 classic comparators and the moment bounds, and the report harness."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -29,6 +28,7 @@ from unionbounds import (
     ExponentParams,
     MomentConsistencyError,
     MomentVector,
+    PerEventMoments,
     build_system,
     compare_bounds,
     exact_union_probability,
@@ -561,18 +561,18 @@ def test_report_rows_decide_their_arithmetic_once(monkeypatch):
     occupancy = occupancy_moment_vector(system, 1.5, 1.25, 3)
     integral_calls, checked = [], []
     integral_value = bounds_module.integral_value
-    post_init = MomentVector.__post_init__
+    check = MomentVector._check
 
     def counted_integral(x):
         integral_calls.append(x)
         return integral_value(x)
 
-    def recorded_post_init(self):
-        post_init(self)
+    def recorded_check(self):
+        check(self)
         checked.append(self)
 
     monkeypatch.setattr(bounds_module, "integral_value", counted_integral)
-    monkeypatch.setattr(MomentVector, "__post_init__", recorded_post_init)
+    monkeypatch.setattr(MomentVector, "_check", recorded_check)
     for (a, rho), vectors in (((2, 1), []), ((1.5, 1.25), [occupancy])):
         integral_calls.clear()
         checked.clear()
@@ -594,7 +594,9 @@ def test_float_row_with_a_non_finite_moment_fails_its_entries(monkeypatch, bad):
             return stat
         s1, s2, s3 = map(list, stat._sums)
         s2[next(k for k, mass in enumerate(s1) if mass)] = bad
-        return dataclasses.replace(stat, _sums=(tuple(s1), tuple(s2), tuple(s3)))
+        return PerEventMoments(
+            stat.a, stat.rho, stat.n_events, (tuple(s1), tuple(s2), tuple(s3)), None
+        )
 
     monkeypatch.setattr(unions_module, "per_event_moments", patched_per_event)
     monkeypatch.setattr(
