@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from ._numeric import Number, Record, all_exact, floor_root, integral_value, rpow
@@ -103,6 +103,13 @@ class ExponentParams(Record):
     @property
     def exponents(self) -> tuple[Number, ...]:
         return tuple([self.a + j * self.rho for j in range(self.ell)])
+
+
+@lru_cache(maxsize=256, typed=True)
+def _exponent_params(a: Number, rho: Number, ell: int, n: int) -> ExponentParams:
+    """One shared ExponentParams per distinct (a, rho, ell, n), which keeps
+    its integral pair; invalid exponents raise on every call."""
+    return ExponentParams(a, rho, ell, n)
 
 
 class MomentVector(Record):

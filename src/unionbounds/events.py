@@ -12,10 +12,12 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from numbers import Real
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._numeric import Number, Record, integral_value, rpow
+from .bounds import _exponent_params
 
 JointRow = tuple[tuple[int, int], ...]  # (level i, D * P(xi = i, A_k)) pairs
 
@@ -177,31 +179,55 @@ def occupancy_profile(system: EventSystem) -> OccupancyProfile:
 
 
 def power_moments(system: EventSystem, k: Number) -> Number:
-    """alpha_k = E xi**k where xi counts how many events occur.
-
-    Exact for an integral k, from ``_level_sums``. Any other positive finite
-    k gives a float, summed over the occupied levels in level order. These
-    are the one place the library sums i**k * P(xi = i).
-    """
+    """alpha_k = E xi**k where xi counts how many events occur, from
+    ``_table_sums`` on the one row of occupied levels: exact for an integral
+    k, else a float summed over the occupied levels in level order."""
     if isinstance(k, bool) or not isinstance(k, Real) or not 0 < k < math.inf:
         raise ValueError(f"k must be a positive finite number, got {k!r}")
-    e = integral_value(k)
-    if e is not None:
-        return Fraction(*_level_sums(system, (e,)))
-    denominator, levels, _ = system.joint_table
-    total: Number = Fraction(0)
-    for i, v in enumerate(levels):
-        if i and v:
-            total = total + rpow(i, k) * (v / denominator)
-    return total
-
-
-def _level_sums(system: EventSystem, exponents: Iterable[int]) -> tuple[int, ...]:
-    """(S_1, ..., S_m, D) with S_j = D * E xi**e_j for positive integer
-    exponents e_j: integer sums over the joint table's denominator D."""
     denominator, levels, _ = system.joint_table
     occupied = [(i, v) for i, v in enumerate(levels) if i and v]
-    return (*(sum(i**e * v for i, v in occupied) for e in exponents), denominator)
+    if not occupied:
+        return Fraction(0)
+    ((total,),), d = _table_sums([occupied], occupied[-1][0], k, 1, 1, 0, denominator)
+    return total if d is None else Fraction(total, d)
+
+
+def _table_sums(
+    rows: Sequence, top: int, a: Number, rho: Number, count: int, shift: int, d: int
+) -> tuple[tuple[tuple[Number, ...], ...], int | None]:
+    """(sums, D or None) with sums[j][k] = sum of i**(a + j*rho - shift) * v
+    over the (level i, D * mass v) pairs of rows[k], for j < count: the one
+    place the library sums powers of the levels against the joint table.
+
+    At integral a and rho the sums are integers over D, with no division.
+    Other exponents give floats (and None): each power times the float mass
+    v / D, added in row order from 0.0, with levels 1..top powered."""
+    ia, irho = integral_value(a), integral_value(rho)
+    if ia is not None and irho is not None:
+        # one pass over the rows: level i adds v * i**(a-shift) * (i**rho)**j
+        base = [0] + [i ** (ia - shift) for i in range(1, top + 1)]
+        step = [0] + [i**irho for i in range(1, top + 1)]
+        sums = [[0] * len(rows) for _ in range(count)]
+        for k, row in enumerate(rows):
+            for i, v in row:
+                term, x = base[i] * v, step[i]
+                for total in sums:
+                    total[k] += term
+                    term *= x
+        return tuple([*map(tuple, sums)]), d
+    # each mass v / D once per entry, each exponent once per moment
+    masses = [[(i, v / d) for i, v in row] for row in rows]
+    floats = []
+    for j in range(count):
+        powers = [0.0, *map(rpow, range(1, top + 1), repeat(a + j * rho - shift))]
+        totals = []
+        for row in masses:  # plain additions: sum() compensates from 3.12 on
+            total = 0.0
+            for i, x in row:
+                total += powers[i] * x
+            totals.append(total)
+        floats.append(tuple(totals))
+    return tuple(floats), None
 
 
 class PerEventMoments(Record):
@@ -241,34 +267,13 @@ def per_event_moments(
     system: EventSystem, a: Number = 1, rho: Number = 1, ell: int = 3
 ) -> PerEventMoments:
     """Compute sbar_j(k) for every event, exactly when a and rho are integers:
-    then as integer sums over the joint table's denominator, no division."""
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
+    then as integer sums over the joint table's denominator, no division.
+    The exponents are checked as ``ExponentParams`` checks them."""
+    ell = _exponent_params(a, rho, ell, 1).ell
     n = system.n_events
     denominator, _, table = system.joint_table
-    if integral_value(a) is not None and integral_value(rho) is not None:
-        # one pass over the table: level i adds v * i**(a-1) * (i**rho)**j
-        base = [0] + [rpow(i, a - 1) for i in range(1, n + 1)]
-        step = [0] + [rpow(i, rho) for i in range(1, n + 1)]
-        sums = [[0] * n for _ in range(ell)]
-        for k, row in enumerate(table):
-            for i, v in row:
-                term, x = base[i] * v, step[i]
-                for total in sums:
-                    total[k] += term
-                    term *= x
-        return PerEventMoments(a, rho, n, tuple([*map(tuple, sums)]), denominator)
-    # each mass v / D once per entry, each exponent once per moment
-    masses = [[(i, v / denominator) for i, v in row] for row in table]
-    floats = []
-    for j in range(ell):
-        e = a + j * rho - 1
-        powers = [0.0] + [rpow(i, e) for i in range(1, n + 1)]
-        totals = (sum(powers[i] * x for i, x in row) for row in masses)
-        # from a list: tuple() of a generator is allocated for ten items and
-        # shrunk, and shrunk tuples pile up on the interpreter's free lists
-        floats.append(tuple([float(total) for total in totals]))
-    return PerEventMoments(a, rho, n, tuple(floats), None)
+    sums, d = _table_sums(table, n, a, rho, ell, 1, denominator)
+    return PerEventMoments(a, rho, n, sums, d)
 
 
 def random_system(

@@ -16,26 +16,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable
 
 from ._numeric import Number, is_exact
-from .bounds import (
-    ExponentParams,
+from .bounds import (  # the scalar bounds: BOUNDS names them, _evaluate finds them
     MomentVector,
+    VARIANTS,
     _FLOAT_SLACK,
     _ScaledMoments,
+    _exponent_params,
     _require_finite,
-    lower_bound_three_moments,
-    lower_bound_two_moments,
-    lower_bound_two_moments_simple,
-    upper_bound_three_moments,
-    upper_bound_two_moments,
+    lower_bound_three_moments,  # noqa: F401
+    lower_bound_two_moments,  # noqa: F401
+    lower_bound_two_moments_simple,  # noqa: F401
+    upper_bound_three_moments,  # noqa: F401
+    upper_bound_two_moments,  # noqa: F401
 )
 from .events import (
     EventSystem,
-    _level_sums,
+    _table_sums,
     exact_union_probability,
     per_event_moments,
     power_moments,
@@ -49,26 +49,35 @@ from .events import occupancy_profile  # noqa: F401
 # a = rho = 1 and the "refined" variant at every other exponent pair.
 PAPER_FORM = "paper"
 
-# name -> (kind, statistic, ell, variant, fixed (a, rho) or None). The
+# name -> (statistic, scalar bound, variant, fixed (a, rho) or None). The
 # statistic is the occupancy vector P(xi = i) or the per-event vectors whose
-# bounds add up. Two-moment variants: "refined" (lower_bound_two_moments,
-# upper_bound_two_moments) or "simple" (lower_bound_two_moments_simple);
-# three-moment variants are bounds.VARIANTS or PAPER_FORM.
-BOUNDS: dict[str, tuple[str, str, int, str, tuple[int, int] | None]] = {
-    "chung_erdos": ("lower", "occupancy", 2, "simple", (1, 1)),
-    "de_caen": ("lower", "per_event", 2, "simple", (1, 1)),
-    "kat": ("lower", "per_event", 2, "refined", (1, 1)),
-    "per_event_lower_two": ("lower", "per_event", 2, "refined", None),
-    "per_event_lower_three": ("lower", "per_event", 3, PAPER_FORM, None),
-    "per_event_upper_three": ("upper", "per_event", 3, PAPER_FORM, None),
-    "occupancy_lower_two": ("lower", "occupancy", 2, "refined", None),
-    "occupancy_lower_three": ("lower", "occupancy", 3, "refined", None),
-    "occupancy_upper_two": ("upper", "occupancy", 2, "refined", None),
-    "occupancy_upper_three": ("upper", "occupancy", 3, "refined", None),
+# bounds add up. The scalar bound is named by its global in this module,
+# looked up when the row runs; the first word of its name is the row's kind,
+# "lower" or "upper". The three-moment bounds take a variant, one of
+# bounds.VARIANTS or PAPER_FORM; the two-moment bounds take none.
+BOUNDS: dict[str, tuple[str, str, str | None, tuple[int, int] | None]] = {
+    "chung_erdos": ("occupancy", "lower_bound_two_moments_simple", None, (1, 1)),
+    "de_caen": ("per_event", "lower_bound_two_moments_simple", None, (1, 1)),
+    "kat": ("per_event", "lower_bound_two_moments", None, (1, 1)),
+    "per_event_lower_two": ("per_event", "lower_bound_two_moments", None, None),
+    "per_event_lower_three": (
+        "per_event", "lower_bound_three_moments", PAPER_FORM, None
+    ),
+    "per_event_upper_three": (
+        "per_event", "upper_bound_three_moments", PAPER_FORM, None
+    ),
+    "occupancy_lower_two": ("occupancy", "lower_bound_two_moments", None, None),
+    "occupancy_lower_three": (
+        "occupancy", "lower_bound_three_moments", "refined", None
+    ),
+    "occupancy_upper_two": ("occupancy", "upper_bound_two_moments", None, None),
+    "occupancy_upper_three": (
+        "occupancy", "upper_bound_three_moments", "refined", None
+    ),
 }
 BOUND_NAMES = tuple(BOUNDS)
 
-RowKey = tuple[str, str, int, str, Number, Number]
+RowKey = tuple[str, str, int, str | None, Number, Number]
 
 
 def holder_union_bound(system: EventSystem, p: Number) -> float:
@@ -91,26 +100,26 @@ def occupancy_moment_vector(
     """
     if system.n_events == 0:
         raise ValueError("the system has no events")
-    params = ExponentParams(a, rho, ell, system.n_events)
+    params = _exponent_params(a, rho, ell, system.n_events)
     sbar = tuple([power_moments(system, e) for e in params.exponents])
     return MomentVector(sbar, params)
 
 
 def _row_key(name: str, a: Number, rho: Number) -> RowKey:
-    """(kind, statistic, ell, variant, a, rho) computed by row ``name``."""
-    kind, statistic, ell, variant, fixed = BOUNDS[name]
+    """(statistic, scalar bound, ell, variant, a, rho) computed by row
+    ``name``: the bound reads ell moments; a two-moment bound has no variant."""
+    statistic, bound, variant, fixed = BOUNDS[name]
     if fixed is not None:
         a, rho = fixed
+    if variant is None:
+        return statistic, bound, 2, None, a, rho
     if variant == PAPER_FORM:
         variant = "rho_ge_1_simple" if a == 1 and rho == 1 else "refined"
-    return kind, statistic, ell, variant, a, rho
+    return statistic, bound, 3, variant, a, rho
 
 
-@lru_cache(maxsize=256, typed=True)
-def _exponent_params(a: Number, rho: Number, ell: int, n: int) -> ExponentParams:
-    """One shared ExponentParams per distinct (a, rho, ell, n), which keeps
-    its integral pair; invalid exponents raise on every call."""
-    return ExponentParams(a, rho, ell, n)
+# variant -> the keyword arguments that pass it to a scalar bound
+_OPTIONS = {None: {}, **{variant: {"variant": variant} for variant in VARIANTS}}
 
 
 def _check_exponents(a: Number, rho: Number) -> None:
@@ -119,47 +128,48 @@ def _check_exponents(a: Number, rho: Number) -> None:
         raise ValueError(f"a and rho must be numbers, not bools (got {a!r}, {rho!r})")
 
 
+def _per_event_source(system: EventSystem, a: Number, rho: Number) -> tuple:
+    """One key (S1, S2, S3) per event of positive probability, in event
+    order, from ``per_event_moments``, and their denominator D."""
+    stat = per_event_moments(system, a, rho, ell=3)
+    return [m for m in zip(*stat._sums) if m[0] != 0], stat._denominator or 1.0
+
+
+def _occupancy_source(system: EventSystem, a: Number, rho: Number) -> tuple:
+    """The one key (S1, S2, S3) of the occupancy vector and D: integer level
+    sums at integral a and rho, else the floats of the checked public vector."""
+    if _exponent_params(a, rho, 3, system.n_events).is_integral:
+        denominator, levels, _ = system.joint_table
+        occupied = [(i, v) for i, v in enumerate(levels) if i and v]
+        sums, d = _table_sums([occupied], system.n_events, a, rho, 3, 0, denominator)
+        return [*zip(*sums)], d
+    sbar = occupancy_moment_vector(system, a, rho, 3).sbar
+    return [tuple([*map(float, sbar)])], 1.0
+
+
+# statistic -> source: (system, a, rho) -> (keys in event order, D), a key
+# the moments (S1, S2, S3) of one vector over D (1.0 for floats).
+_SOURCES = {"per_event": _per_event_source, "occupancy": _occupancy_source}
+
+
 def _moment_vectors(
-    system: EventSystem,
-    statistic: str,
-    a: Number,
-    rho: Number,
-    ell: int,
-    cache: dict,
+    system: EventSystem, statistic: str, a: Number, rho: Number, ell: int, cache: dict
 ) -> tuple[list, dict, Number]:
     """(keys in order, key -> moment vector, D) for the statistic's vectors.
 
-    The occupancy statistic has one vector, under the key None. The
-    per-event statistic has one key per event of positive probability, its
-    moments (S1, S2, S3), so events with equal moments share one vector and
-    one scalar-bound call even when their joint rows differ. Each row's
-    arithmetic is fixed here, once: a vector reaches the bounds as
-    (S1, ..., S_ell, D), the integer sums over the joint table's
-    denominator D at integral a and rho, else floats over D = 1.0, checked
-    for finiteness once per row. The ell = 3 moments are computed once per
-    (statistic, a, rho) and kept in ``cache``; ell = 2 takes their prefix.
-    """
+    The source runs once per (statistic, a, rho), kept in ``cache``. Equal
+    keys share one vector and one scalar-bound call. Each row's arithmetic is
+    fixed here, once: a vector reaches the bounds as (S1, ..., S_ell, D), and
+    a float row is checked for finiteness once."""
     key = (statistic, a, rho, ell)
     if key not in cache:
         params = _exponent_params(a, rho, ell, system.n_events)
         moments = cache.get((statistic, a, rho))
         if moments is None:
-            if statistic == "per_event":
-                stat = per_event_moments(system, a, rho, ell=3)
-                order = [m for m in zip(*stat._sums) if m[0] != 0]
-                moments = order, {m: m for m in order}, stat._denominator or 1.0
-            elif params.is_integral:
-                i, j = params._integral
-                *sums, d = _level_sums(system, (i, i + j, i + 2 * j))
-                moments = [None], {None: tuple(sums)}, d
-            else:  # the public vector, checked on construction
-                sbar = occupancy_moment_vector(system, a, rho, 3).sbar
-                moments = [None], {None: tuple([*map(float, sbar)])}, 1.0
-            cache[(statistic, a, rho)] = moments
+            order, d = _SOURCES[statistic](system, a, rho)
+            moments = cache[(statistic, a, rho)] = order, dict.fromkeys(order), d
         order, distinct, d = moments
-        vectors = {
-            k: _ScaledMoments(m[:ell] + (d,), params) for k, m in distinct.items()
-        }
+        vectors = {m: _ScaledMoments(m[:ell] + (d,), params) for m in distinct}
         if type(d) is float:  # integer sums are finite
             _require_finite(chain.from_iterable(v._values for v in vectors.values()))
         cache[key] = order, vectors, d
@@ -175,34 +185,22 @@ def _evaluate(system: EventSystem, key: RowKey, cache: dict) -> Number:
     memo = system.row_values
     if key in memo:
         return memo[key]
-    kind, statistic, ell, variant, a, rho = key
-    if ell == 3:
-        three = (
-            lower_bound_three_moments if kind == "lower" else upper_bound_three_moments
-        )
-        bound = partial(three, variant=variant)
-    elif kind == "upper":
-        bound = upper_bound_two_moments
-    elif variant == "simple":
-        bound = lower_bound_two_moments_simple
-    else:
-        bound = lower_bound_two_moments
+    statistic, bound, ell, variant, a, rho = key
     order, vectors, d = _moment_vectors(system, statistic, a, rho, ell, cache)
-    values = {k: bound(m) for k, m in vectors.items()}
+    bound, kwargs = globals()[bound], _OPTIONS[variant]
+    values = {k: bound(m, **kwargs) for k, m in vectors.items()}
     total: Number
-    if statistic == "occupancy":
-        total = values[None]
-    elif type(d) is int:  # exact values: one Fraction over their lcm
-        # a list, not a generator: see the note in events.per_event_moments
-        scale = math.lcm(*[v.denominator for v in values.values()])
-        scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
-        total = Fraction(sum(map(scaled.__getitem__, order)), scale)
-    elif order:  # float values add up from 0.0, in event order
+    if type(d) is float and order:  # float values add up from 0.0, in event order
         total = 0.0
         for k in order:
             total += values[k]
-    else:
-        total = Fraction(0)
+    elif len(order) == 1:  # one exact value, already a Fraction in lowest terms
+        total = values[order[0]]
+    else:  # exact values, or none: one Fraction over their lcm, whose
+        # arguments come from a list: a generator would leave a shrunk tuple
+        scale = math.lcm(*[v.denominator for v in values.values()])
+        scaled = {k: v.numerator * (scale // v.denominator) for k, v in values.items()}
+        total = Fraction(sum(map(scaled.__getitem__, order)), scale)
     memo[key] = total
     return total
 
@@ -301,6 +299,8 @@ def compare_bounds(
     """
     if system.n_events == 0:
         raise ValueError("the system has no events")
+    if isinstance(include, str):  # its letters are no bound names
+        raise ValueError(f"include must be a list of bound names, got {include!r}")
     wanted = set(BOUND_NAMES if include is None else include)
     unknown = wanted.difference(BOUND_NAMES)
     if unknown:
@@ -313,30 +313,14 @@ def compare_bounds(
         if name not in wanted:
             continue
         key = _row_key(name, a, rho)
-        kind = key[0]
+        kind = key[1][:5]  # "lower" or "upper"
         try:
             value = _evaluate(system, key, cache)
         except (ValueError, ArithmeticError) as exc:  # the library's own errors
-            entries.append(
-                BoundEntry(
-                    name,
-                    kind,
-                    None,
-                    None,
-                    "none",
-                    False,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            entries.append(BoundEntry(name, kind, None, None, "none", False, error))
             continue
-        entries.append(
-            BoundEntry(
-                name,
-                kind,
-                value,
-                _clamp(value),
-                "rational" if is_exact(value) else "float",
-                _sandwich_ok(kind, value, exact),
-            )
-        )
+        arithmetic = "rational" if is_exact(value) else "float"
+        passed = _sandwich_ok(kind, value, exact)
+        entries.append(BoundEntry(name, kind, value, _clamp(value), arithmetic, passed))
     return BoundReport(exact, a, rho, tuple(entries))

@@ -13,6 +13,7 @@ from functools import partial
 
 import pytest
 
+import unionbounds.bounds as bounds_module
 from unionbounds import (
     CertificateError,
     EventSystem,
@@ -21,14 +22,9 @@ from unionbounds import (
     MomentConsistencyError,
     MomentVector,
     general_bound,
-    lower_bound_three_moments,
-    lower_bound_two_moments,
-    lower_bound_two_moments_simple,
     per_event_moments,
     power_moments,
     random_system,
-    upper_bound_three_moments,
-    upper_bound_two_moments,
 )
 from unionbounds._numeric import rpow
 from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
@@ -38,7 +34,7 @@ from unionbounds.cli import (  # noqa: F401  (re-exported to the test modules)
     S3_WEIGHTS,
     reference_system,
 )
-from unionbounds.unions import _row_key
+from unionbounds.unions import _OPTIONS, _row_key
 
 
 @pytest.fixture
@@ -120,8 +116,11 @@ def profile_moment_vector(system: EventSystem, a, rho, ell: int) -> tuple:
 
 def profile_holder_moment(system: EventSystem, p: float) -> float:
     """E xi**p in floats over the occupancy profile, for non-integral p."""
-    profile = naive_occupancy_profile(system)
-    return sum(float(weight) * i ** float(p) for i, weight in enumerate(profile) if i)
+    total = 0.0  # plain additions, whatever sum() does
+    for i, weight in enumerate(naive_occupancy_profile(system)):
+        if i:
+            total += float(weight) * i ** float(p)
+    return total
 
 
 # Independent closed forms of the classic and (1,1) union bounds, built from
@@ -515,19 +514,12 @@ def sample_systems(
 
 def moment_vector_row(system: EventSystem, name: str, a, rho):
     """Report row ``name`` evaluated on public, checked MomentVectors: the
-    scalar bound on the occupancy vector of ``power_moments`` values, or
-    summed in event order over the per-event columns of
-    ``per_event_moments(...).sbar`` of positive mass."""
-    kind, statistic, ell, variant, a, rho = _row_key(name, a, rho)
-    if ell == 3:
-        three = {"lower": lower_bound_three_moments, "upper": upper_bound_three_moments}
-        bound = partial(three[kind], variant=variant)
-    elif kind == "upper":
-        bound = upper_bound_two_moments
-    elif variant == "simple":
-        bound = lower_bound_two_moments_simple
-    else:
-        bound = lower_bound_two_moments
+    row's scalar bound, named in BOUNDS and taken from ``unionbounds.bounds``,
+    on the occupancy vector of ``power_moments`` values, or summed in event
+    order over the per-event columns of ``per_event_moments(...).sbar`` of
+    positive mass."""
+    statistic, bound, ell, variant, a, rho = _row_key(name, a, rho)
+    bound = partial(getattr(bounds_module, bound), **_OPTIONS[variant])
     params = ExponentParams(a, rho, ell, system.n_events)
     if statistic == "occupancy":
         sbar = tuple(power_moments(system, e) for e in params.exponents)

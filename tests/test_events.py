@@ -18,6 +18,7 @@ from conftest import (
 )
 from unionbounds import (
     EventSystem,
+    ExponentParams,
     build_system,
     compare_bounds,
     exact_union_probability,
@@ -271,7 +272,9 @@ def test_per_event_moments_at_fraction_exponents_are_direct_float_sums(a, rho):
                 masses[level] = masses.get(level, 0) + system.weights[atom]
             for j in range(3):
                 e = float(a + j * rho - 1)
-                direct = float(sum(float(i) ** e * float(v) for i, v in masses.items()))
+                direct = 0.0  # plain additions, whatever sum() does
+                for i, v in masses.items():
+                    direct += float(i) ** e * float(v)
                 assert moments.sbar[j][k].hex() == direct.hex()
 
 
@@ -310,6 +313,34 @@ def test_per_event_moments_float_mode(s3):
 def test_per_event_moments_requires_two_moments(s3):
     with pytest.raises(ValueError):
         per_event_moments(s3, 1, 1, ell=1)
+
+
+@pytest.mark.parametrize(
+    "a, rho, ell",
+    [
+        (True, 1, 3),
+        (1, False, 3),
+        (0, 1, 3),
+        (-1, 1, 3),
+        (math.nan, 1, 3),
+        (1, math.inf, 3),
+        (1, 1, 2.5),
+    ],
+)
+def test_per_event_moments_checks_exponents_as_exponent_params_does(a, rho, ell):
+    # a bool is no 1, a non-positive or non-finite exponent gives no moments,
+    # and a fractional ell is no count
+    with pytest.raises(ValueError) as expected:
+        ExponentParams(a, rho, ell, 1)
+    with pytest.raises(ValueError) as raised:
+        per_event_moments(random_system(1, 3, 8, "dense"), a, rho, ell)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_per_event_moments_of_no_events_are_empty():
+    system = build_system(["1/2", "1/2"], [])
+    assert per_event_moments(system, 1, 1).sbar == ((), (), ())
+    assert per_event_moments(system, 1.5, 1.25, 2.0).sbar == ((), ())
 
 
 def test_oracle_agreement_on_random_systems():

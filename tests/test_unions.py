@@ -282,6 +282,14 @@ def test_compare_bounds_include_filter(s2):
         compare_bounds(s2, include=["kat", "bogus"])
 
 
+@pytest.mark.parametrize("include", ["kat", ""])
+def test_compare_bounds_include_is_no_string(s2, include):
+    # a string is no list of names: "kat" is not split into letters, and ""
+    # is no empty report that passes
+    with pytest.raises(ValueError, match="list of bound names"):
+        compare_bounds(s2, include=include)
+
+
 def test_compare_bounds_float_exponents(s2):
     report = compare_bounds(s2, 1.5, 1.25)
     assert report.all_pass
