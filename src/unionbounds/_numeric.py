@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Union
 
 Number = Union[int, float, Fraction]
 
@@ -53,22 +53,6 @@ def rpow(base: Number, exponent: Number) -> Number:
         if base != 0:
             return Fraction(base) ** e
     return float(base) ** float(exponent)
-
-
-def balanced_sum(values: Sequence[Number], start: Number = 0) -> Number:
-    """``start`` plus the sum of ``values``, added in a balanced pairwise tree.
-
-    Each addition joins two partial sums of similar size, so an exact sum of
-    many rationals never carries one ever larger denominator through every
-    step as a running total does.
-    """
-    level = list(values)
-    while len(level) > 1:
-        paired = [a + b for a, b in zip(level[::2], level[1::2])]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return start + level[0] if level else start
 
 
 def floor_root(value: Number, degree: int) -> int:

@@ -9,13 +9,14 @@ diagnostics that drive convergence, and the Kochen-Stone ratio.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
 from typing import Callable, Iterable, Protocol, Sequence, Union
 
-from ._numeric import Number, balanced_sum, is_exact
+from ._numeric import Number, is_exact
 from .events import EventSystem, per_event_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
@@ -64,10 +65,35 @@ def _runs(values: Iterable) -> list:
     return [(value, sum(1 for _ in group)) for value, group in groupby(values)]
 
 
+def balanced_sum(values: Sequence[Number], start: Number = 0) -> Number:
+    """``start`` plus the sum of ``values``, added in a balanced pairwise tree.
+
+    Each addition joins two partial sums of similar size, so an exact sum of
+    many rationals never carries one ever larger denominator through every
+    step as a running total does.
+    """
+    level = list(values)
+    while len(level) > 1:
+        paired = [a + b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return start + level[0] if level else start
+
+
 def _total(runs: list[tuple[Number, int]]) -> Number:
     """The sum of count * term over the runs, added in a balanced tree."""
     terms = [term if count == 1 else term * count for term, count in runs]
     return balanced_sum(terms, Fraction(0))
+
+
+def _scaled(row: Row) -> tuple[Number, Number, Number, int]:
+    """(P, E1, E2, d): an exact row (p, e1, e2) as the integers P, E1, E2 over
+    their least common denominator d; a row holding a float as it is, d = 0."""
+    if not all(map(is_exact, row)):
+        return (*row, 0)
+    d = math.lcm(*[x.denominator for x in row])
+    return (*[x.numerator * (d // x.denominator) for x in row], d)
 
 
 def _window(model: SequenceModel, m: int, n: int) -> Runs:
@@ -214,9 +240,16 @@ class IndependentSequence:
 
     @staticmethod
     def _row(p: Number, s1: Number, s2: Number) -> Row:
-        t1 = s1 - p
-        t2 = s2 - p * p
-        return (p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2))
+        if not is_exact(s1):  # a window holding a float, so float sums
+            t1, t2 = s1 - p, s2 - p * p
+            return (p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2))
+        # t1, t2 as integers over d: one Fraction each for e1 and e2
+        u, v = p.numerator, p.denominator
+        d = math.lcm(s1.denominator, s2.denominator, v * v)
+        t1 = s1.numerator * (d // s1.denominator) - u * (d // v)
+        t2 = s2.numerator * (d // s2.denominator) - u * u * (d // (v * v))
+        e2 = u * (d * (d + 3 * t1 - t2) + t1 * t1)
+        return (p, Fraction(u * (d + t1), v * d), Fraction(e2, v * d * d))
 
     def window_moments(self, m: int, n: int) -> Runs:
         if m > n:
@@ -281,17 +314,20 @@ def bc_lower_estimate(model: SequenceModel, n: int) -> BCEstimate:
     along a subsequence, value tends to P(A_n i.o.). 0/0 terms read as 0.
     """
     _check_window(model, 1, n)
-    terms = []
-    conditions = []
-    for (p, e1, e2), count in _window(model, 1, n):
-        miss1 = n * p - e1  # E (n - X) I_k
-        missx = n * e1 - e2  # E (n - X) X I_k
-        if missx > 0:
-            gain = miss1 * miss1 / missx
-            conditions.append((miss1 / missx, count))
+    terms, conditions = [], []
+    for row, count in _window(model, 1, n):
+        p, e1, e2, d = _scaled(row)
+        miss1 = n * p - e1  # E (n - X) I_k, times d if exact
+        missx = n * e1 - e2  # E (n - X) X I_k, times d if exact
+        if missx <= 0:
+            term = row[0]
+        elif d:
+            term = Fraction(p * missx + miss1 * miss1, d * missx)
+            conditions.append((Fraction(miss1, missx), count))
         else:
-            gain = Fraction(0)
-        terms.append((p + gain, count))
+            term = p + miss1 * miss1 / missx
+            conditions.append((miss1 / missx, count))
+        terms.append((term, count))
     value = _total(terms) / n
     return BCEstimate(n, 1, value, value, _total(conditions) / n)
 
@@ -306,20 +342,25 @@ def bc_upper_estimate(model: SequenceModel, m: int, n: int) -> BCEstimate:
     bound for P(union of A_m..A_n) at every finite window. 0/0 reads as 0.
     """
     _check_window(model, m, n)
-    terms = []
-    windows = []
-    conditions = []
-    for (p, e1, e2), count in _window(model, m, n):
-        if e2 > 0:
-            drop = e1 * e1 / e2
-            conditions.append((e1 / e2, count))
+    terms, windows, conditions = [], [], []
+    for row, count in _window(model, m, n):
+        p, e1, e2, d = _scaled(row)
+        num = e1 - p  # E (X - 1) I_k, times d if exact
+        den = e2 - e1  # E X (X - 1) I_k, times d if exact
+        if e2 <= 0:
+            term = row[0]
+        elif d:
+            term = Fraction(p * e2 - e1 * e1, d * e2)
+            conditions.append((Fraction(e1, e2), count))
         else:
-            drop = Fraction(0)
-        num = e1 - p  # E (X - 1) I_k
-        den = e2 - e1  # E X (X - 1) I_k
-        sharp = num * num / den if den > 0 else Fraction(0)
-        terms.append((p - drop, count))
-        windows.append((p - sharp, count))
+            term = p - e1 * e1 / e2
+            conditions.append((e1 / e2, count))
+        if den <= 0:
+            sharp = row[0]
+        else:
+            sharp = Fraction(p * den - num * num, d * den) if d else p - num * num / den
+        terms.append((term, count))
+        windows.append((sharp, count))
     return BCEstimate(n, m, _total(terms), _total(windows), _total(conditions))
 
 

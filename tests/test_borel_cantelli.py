@@ -368,6 +368,92 @@ def test_estimators_equal_per_k_oracle_exactly():
                 assert kochen_stone_ratio(model, n) == alpha2 / (alpha1 * alpha1)
 
 
+def assert_same(actual, expected):
+    """Equal in value and in type: exact rows must give exact estimates."""
+    assert (type(actual), actual) == (type(expected), expected)
+
+
+def assert_matches_oracle(model, m, n, rows, window_rows):
+    """Every field of both estimators against the per-k oracles: rows are
+    the exact per-k rows of the window 1..n, window_rows those of m..n."""
+    lower = bc_lower_estimate(model, n)
+    value, condition = naive_bc_lower(rows, n)
+    assert_same(lower.value, value)
+    assert_same(lower.window_bound, value)
+    assert_same(lower.condition_value, condition)
+    upper = bc_upper_estimate(model, m, n)
+    value, window, condition = naive_bc_upper(window_rows)
+    assert_same(upper.value, value)
+    assert_same(upper.window_bound, window)
+    assert_same(upper.condition_value, condition)
+
+
+class IntRowModel:
+    """A custom model whose rows (p, e1, e2) are plain ints, one per k."""
+
+    horizon = None
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def window_moments(self, m, n):
+        return [(self.rows[(k - 1) % len(self.rows)], 1) for k in range(m, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [
+        [Fraction(0)] * 4,  # E2 = MX = DEN = 0 on every row
+        [Fraction(1)] * 5,  # MX = 0 on every row
+        [Fraction(1)],  # MX = DEN = 0
+        [0, 1, Fraction(1, 2), 0, 0, 1, Fraction(2, 7), 0],
+    ],
+)
+def test_integer_rows_at_zero_and_certain_events(probabilities):
+    n = len(probabilities)
+    models = [IndependentSequence(probabilities)]
+    if len(set(probabilities)) == 1:  # and as a constant, one run per window
+        models.append(IndependentSequence(probabilities[0]))
+    rows = naive_independent_rows(probabilities)
+    for model in models:
+        for m in sorted({1, min(2, n), n}):
+            window_rows = naive_independent_rows(probabilities[m - 1 :])
+            assert expand_runs(model.window_moments(m, n)) == window_rows
+            assert_matches_oracle(model, m, n, rows, window_rows)
+
+
+def test_integer_rows_on_geometric_windows():
+    ratio = Fraction(9, 10)
+    model = IndependentSequence(lambda k: ratio**k)
+    for n in (2, 7, 20, 41, 60):
+        rows = naive_independent_rows([ratio**k for k in range(1, n + 1)])
+        for m in sorted(m for m in {2, 5, n // 2, n} if m <= n):
+            window_rows = naive_independent_rows([ratio**k for k in range(m, n + 1)])
+            window = expand_runs(model.window_moments(m, n))
+            assert window == window_rows
+            assert all(type(x) is Fraction for row in window for x in row)
+            assert_matches_oracle(model, m, n, rows, window_rows)
+
+
+def test_identical_zero_probability_is_exactly_zero():
+    model = IdenticalSequence(0)
+    for n in (1, 2, 9):
+        m = min(2, n)
+        zero = (Fraction(0),) * 3
+        assert_matches_oracle(model, m, n, [zero] * n, [zero] * (n - m + 1))
+        assert_same(bc_lower_estimate(model, n).value, Fraction(0))
+
+
+def test_int_rows_give_exact_estimates():
+    # int / int is a float, so the oracle reads the rows as Fractions
+    rows = [(0, 0, 0), (1, 3, 9), (1, 2, 4), (0, 1, 1), (1, 1, 1)]
+    model = IntRowModel(rows)
+    for n in (1, 4, 5, 12):
+        exact = [tuple(map(Fraction, rows[k % len(rows)])) for k in range(n)]
+        for m in sorted({1, min(2, n), n}):
+            assert_matches_oracle(model, m, n, exact, exact[m - 1 :])
+
+
 def assert_close(actual, expected):
     assert isinstance(actual, float)
     assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=0)
