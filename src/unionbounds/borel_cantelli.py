@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import groupby, repeat
 from typing import Callable, Iterable, Protocol, Sequence, Union
 
-from ._numeric import Number, is_exact
+from ._numeric import Number, Record, is_exact
 from .events import EventSystem, per_event_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
@@ -96,14 +96,15 @@ def _scaled(row: Row) -> tuple[Number, Number, Number, int]:
     return (*[x.numerator * (d // x.denominator) for x in row], d)
 
 
-def _window(model: SequenceModel, m: int, n: int) -> Runs:
-    """model.window_moments(m, n), kept for the rest of its horizon row.
+def _window(model: SequenceModel, m: int, n: int) -> list[tuple[Row, tuple, int]]:
+    """The runs of model.window_moments(m, n) as (row, _scaled(row), count),
+    kept for the rest of its horizon row.
 
     The model keeps the runs of every window m..n of its latest horizon n, by
     m, and a new n drops them. So the lower estimate, the upper estimate and
-    the Kochen-Stone moments of one horizon row build each window once, and
-    a grid holds one row's runs. Models are read as fixed once made; one
-    that takes no new attributes is served uncached.
+    the Kochen-Stone moments of one horizon row build and scale each window
+    once, and a grid holds one row's runs. Models are read as fixed once
+    made; one that takes no new attributes is served uncached.
     """
     row, windows = getattr(model, "_row_windows", (None, {}))
     if row != n:
@@ -111,7 +112,8 @@ def _window(model: SequenceModel, m: int, n: int) -> Runs:
         with suppress(AttributeError):
             model._row_windows = (n, windows)  # type: ignore[attr-defined]
     if m not in windows:
-        windows[m] = model.window_moments(m, n)
+        runs = model.window_moments(m, n)
+        windows[m] = [(r, _scaled(r), count) for r, count in runs]
     return windows[m]
 
 
@@ -121,12 +123,13 @@ def _alpha_moments(model: SequenceModel, n: int) -> tuple[Number, Number]:
     if n < 1:
         return 0, 0
     runs = _window(model, 1, n)
-    p, e1 = (_total([(row[j], count) for row, count in runs]) for j in (0, 1))
+    p, e1 = (_total([(row[j], count) for row, _, count in runs]) for j in (0, 1))
     return p, e1
 
 
-@dataclass(frozen=True)
-class BCEstimate:
+# The decorator generates no method: it lists the fields for dataclasses.replace.
+@dataclass(init=False, repr=False, eq=False)
+class BCEstimate(Record):
     """A finite-horizon estimate over the window m..n.
 
     value is the partial-sum estimator itself. window_bound is the sharp
@@ -136,11 +139,21 @@ class BCEstimate:
     subsequence for the estimator to converge to the limsup probability.
     """
 
+    _fields = ("n", "m", "value", "window_bound", "condition_value")
     n: int
     m: int
     value: Number
     window_bound: Number
     condition_value: Number
+
+    def __init__(
+        self, n: int, m: int, value: Number, window_bound: Number,
+        condition_value: Number,
+    ) -> None:
+        self.__dict__.update(
+            n=n, m=m, value=value, window_bound=window_bound,
+            condition_value=condition_value,
+        )
 
 
 class ExplicitSequence:
@@ -315,8 +328,7 @@ def bc_lower_estimate(model: SequenceModel, n: int) -> BCEstimate:
     """
     _check_window(model, 1, n)
     terms, conditions = [], []
-    for row, count in _window(model, 1, n):
-        p, e1, e2, d = _scaled(row)
+    for row, (p, e1, e2, d), count in _window(model, 1, n):
         miss1 = n * p - e1  # E (n - X) I_k, times d if exact
         missx = n * e1 - e2  # E (n - X) X I_k, times d if exact
         if missx <= 0:
@@ -343,8 +355,7 @@ def bc_upper_estimate(model: SequenceModel, m: int, n: int) -> BCEstimate:
     """
     _check_window(model, m, n)
     terms, windows, conditions = [], [], []
-    for row, count in _window(model, m, n):
-        p, e1, e2, d = _scaled(row)
+    for row, (p, e1, e2, d), count in _window(model, m, n):
         num = e1 - p  # E (X - 1) I_k, times d if exact
         den = e2 - e1  # E X (X - 1) I_k, times d if exact
         if e2 <= 0:

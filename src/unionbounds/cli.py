@@ -240,7 +240,10 @@ def run_bounds(args: argparse.Namespace) -> int:
             value = entry.clamped if args.clamp else entry.value
             row = (entry.name, entry.kind, value, entry.clamped, exact, entry.passed)
             rows.append((*row, entry.error or ""))
-            value_exact = str(entry.value) if is_exact(entry.value) else None
+            try:  # no exact text past the interpreter's int-to-str digit limit
+                value_exact = str(entry.value) if is_exact(entry.value) else None
+            except ValueError:
+                value_exact = None
             entries.append(dict(zip(_BOUNDS_COLUMNS, row)))
             entries[-1].update(value_exact=value_exact, error=entry.error)
         a, rho = str(report.a), str(report.rho)

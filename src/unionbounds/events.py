@@ -63,8 +63,9 @@ class EventSystem(Record):
         levels i that event k hits. Every per-system statistic reads it.
         """
         counts = self.occupancy_counts
-        denominator = math.lcm(*(w.denominator for w in self.weights))
-        numerators = [w.numerator * denominator // w.denominator for w in self.weights]
+        ratios = [w.as_integer_ratio() for w in self.weights]  # each weight read once
+        denominator = math.lcm(*{d for _, d in ratios})
+        numerators = [n * (denominator // d) for n, d in ratios]
         levels = [0] * (self.n_events + 1)
         for count, numerator in zip(counts, numerators):
             levels[count] += numerator

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable
 
-from ._numeric import Number, is_exact
+from ._numeric import Number, Record, is_exact
 from .bounds import (  # the scalar bounds: BOUNDS names them, _evaluate finds them
     MomentVector,
     VARIANTS,
@@ -223,10 +223,12 @@ def union_bound(
     return _evaluate(system, _row_key(name, a, rho), {})
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+# The decorator generates no method: it lists the fields for dataclasses.replace.
+@dataclass(init=False, repr=False, eq=False)
+class BoundEntry(Record):
     """One bound evaluation within a report."""
 
+    _fields = ("name", "kind", "value", "clamped", "arithmetic", "passed", "error")
     name: str
     kind: str  # "lower" or "upper"
     value: Number | None
@@ -235,15 +237,30 @@ class BoundEntry:
     passed: bool
     error: str | None = None
 
+    def __init__(
+        self, name: str, kind: str, value: Number | None, clamped: Number | None,
+        arithmetic: str, passed: bool, error: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            name=name, kind=kind, value=value, clamped=clamped,
+            arithmetic=arithmetic, passed=passed, error=error,
+        )
 
-@dataclass(frozen=True)
-class BoundReport:
+
+@dataclass(init=False, repr=False, eq=False)
+class BoundReport(Record):
     """Bounds evaluated against the exact union probability."""
 
+    _fields = ("exact", "a", "rho", "entries")
     exact: Fraction
     a: Number
     rho: Number
     entries: tuple[BoundEntry, ...]
+
+    def __init__(
+        self, exact: Fraction, a: Number, rho: Number, entries: tuple[BoundEntry, ...]
+    ) -> None:
+        self.__dict__.update(exact=exact, a=a, rho=rho, entries=entries)
 
     @property
     def all_pass(self) -> bool:
@@ -256,11 +273,14 @@ class BoundReport:
         raise KeyError(name)
 
 
-def _sandwich_ok(kind: str, value: Number, exact: Fraction) -> bool:
+def _sandwich_ok(kind: str, value: Number, exact: tuple[int, int, float]) -> bool:
+    """Whether ``value`` lies on its ``kind``'s side of the exact union
+    probability, given as (numerator, denominator, float)."""
+    numerator, denominator, approx = exact
     if is_exact(value):  # cross products: denominators are positive
-        v, e = value.numerator * exact.denominator, exact.numerator * value.denominator
+        v, e = value.numerator * denominator, numerator * value.denominator
         return v <= e if kind == "lower" else v >= e
-    v, e = float(value), float(exact)
+    v, e = float(value), approx
     scale = max(1.0, abs(v), abs(e))
     if kind == "lower":
         return v <= e + _FLOAT_SLACK * scale
@@ -307,6 +327,7 @@ def compare_bounds(
         raise ValueError(f"unknown bound names: {sorted(unknown)}")
     _check_exponents(a, rho)
     exact = exact_union_probability(system)
+    split = exact.numerator, exact.denominator, float(exact)  # once per report
     cache: dict = {}
     entries = []
     for name in BOUND_NAMES:
@@ -321,6 +342,6 @@ def compare_bounds(
             entries.append(BoundEntry(name, kind, None, None, "none", False, error))
             continue
         arithmetic = "rational" if is_exact(value) else "float"
-        passed = _sandwich_ok(kind, value, exact)
+        passed = _sandwich_ok(kind, value, split)
         entries.append(BoundEntry(name, kind, value, _clamp(value), arithmetic, passed))
     return BoundReport(exact, a, rho, tuple(entries))

@@ -37,6 +37,8 @@ from unionbounds import (
     random_system,
     union_bound,
 )
+from unionbounds import borel_cantelli as bc_module
+from unionbounds.borel_cantelli import _scaled
 
 
 def enumerate_window_moments(probabilities):
@@ -138,6 +140,21 @@ def test_row_estimators_share_one_window():
     assert bc_lower_estimate(Frozen(), 4) == bc_lower_estimate(
         IndependentSequence(Fraction(1, 3)), 4
     )
+
+
+def test_each_row_is_scaled_once_per_horizon(monkeypatch):
+    # the lower and upper estimates of one horizon share the scaled rows of
+    # the window 1..n; another window m..n scales its own rows once
+    scaled = []
+    monkeypatch.setattr(bc_module, "_scaled", lambda row: scaled.append(row) or _scaled(row))
+    model = IndependentSequence(lambda k: Fraction(1, k + 1))  # every row distinct
+    for n in (5, 8):
+        for _ in range(2):
+            bc_lower_estimate(model, n)
+            bc_upper_estimate(model, 1, n)
+            bc_upper_estimate(model, 3, n)
+            kochen_stone_ratio(model, n)
+    assert len(scaled) == (5 + 3) + (8 + 6)
 
 
 def test_single_event_and_single_window():
@@ -572,5 +589,7 @@ def test_explicit_grid_holds_only_the_current_row(monkeypatch):
     assert len(built) == 40 + 36  # one per window: (1, n), and (n - 3, n) for n > 4
     gc.collect()
     assert [ref() for ref in built if ref() is not None] == []  # no subsystem kept
-    row, windows = model._row_windows  # only the runs of the latest horizon
+    row, windows = model._row_windows  # only the scaled runs of the latest horizon
     assert (row, sorted(windows)) == (40, [1, 37])
+    for m, runs in windows.items():
+        assert runs == [(r, _scaled(r), count) for r, count in model.window_moments(m, 40)]

@@ -572,6 +572,30 @@ def test_bounds_loads_no_general_bound_and_generates_no_record(fmt, s3_path):
     assert out[-1] == repr(flags)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bounds_past_the_int_digit_limit_gives_no_exact_text(fmt, tmp_path):
+    """An exact row value with more digits than the interpreter converts to
+    text has null value_exact, and the run ends normally."""
+    path = tmp_path / "dense.json"
+    system = unionbounds.random_system(1, 10, 64)
+    path.write_text(serialize_system(system), encoding="utf-8")
+    result = run_python(
+        "-X", "int_max_str_digits=640", "-m", "unionbounds.cli", "bounds",
+        "--input", str(path), "--a", "300", "--rho", "1", "--format", fmt,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    if fmt == "json":
+        (section,) = json.loads(result.stdout)["sections"]
+        missing = [e["name"] for e in section["entries"] if e["value_exact"] is None]
+        assert missing == [name for name in BOUND_NAMES if name.endswith("_three")]
+        for entry in section["entries"]:
+            if entry["value_exact"] is not None:
+                assert float(Fraction(entry["value_exact"])) == entry["value"]
+
+
 def test_package_resolves_borel_cantelli_names_on_first_use():
     run_fresh(
         """

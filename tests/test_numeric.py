@@ -1,5 +1,6 @@
 """Unit tests for the low-level numeric helpers."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -153,8 +154,11 @@ def _record_cases():
     from unionbounds import (
         EventSystem,
         ExponentParams,
+        IndependentSequence,
         MomentVector,
+        bc_upper_estimate,
         build_system,
+        compare_bounds,
         general_bound,
         occupancy_profile,
         per_event_moments,
@@ -162,6 +166,14 @@ def _record_cases():
 
     system = build_system(["1/2", "1/4", "1/4"], [[0, 1], [1, 2]])
     twin = EventSystem(system.weights, system.events)
+    report, twin_report = (compare_bounds(s, include=["de_caen", "kat"]) for s in (system, twin))
+    de_caen = (
+        "BoundEntry(name='de_caen', kind='lower', value=Fraction(43, 48), "
+        "clamped=Fraction(43, 48), arithmetic='rational', passed=True, error=None)"
+    )
+    estimate, twin_estimate = (
+        bc_upper_estimate(IndependentSequence(Fraction(1, 3)), 2, 3) for _ in range(2)
+    )
     params = ExponentParams(Fraction(3, 2), 1, 3.0, 4)
     moments = (1, Fraction(3, 2), 2.5)
     window = (((1, 1, 1), (1, 2, 3)), (1, Fraction(3, 2)), (1, 2), "lower")
@@ -202,6 +214,20 @@ def _record_cases():
             "sign_certificate=(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1)), "
             "solution={1: Fraction(1, 2), 2: Fraction(1, 2)})",
         ),
+        "BoundEntry": (report.entries[0], twin_report.entries[0], de_caen),
+        "BoundReport": (
+            report,
+            twin_report,
+            f"BoundReport(exact=Fraction(1, 1), a=1, rho=1, entries=({de_caen}, "
+            "BoundEntry(name='kat', kind='lower', value=Fraction(1, 1), "
+            "clamped=Fraction(1, 1), arithmetic='rational', passed=True, error=None)))",
+        ),
+        "BCEstimate": (
+            estimate,
+            twin_estimate,
+            "BCEstimate(n=3, m=2, value=Fraction(2, 27), window_bound=Fraction(5, 9), "
+            "condition_value=Fraction(4, 3))",
+        ),
     }
 
 
@@ -229,3 +255,31 @@ def test_records_compare_hash_print_and_refuse_assignment(name):
     with pytest.raises(AttributeError, match="cannot delete"):
         delattr(record, field)
     assert getattr(record, field) == getattr(twin, field)
+
+
+@pytest.mark.parametrize("name", ["BoundEntry", "BoundReport", "BCEstimate"])
+def test_report_records_keep_dataclass_fields_and_generate_no_method(name):
+    """The report records stay dataclasses for dataclasses.replace, fields
+    and asdict, while their methods are Record's and their own."""
+    from unionbounds._numeric import Record
+
+    record, twin, _ = _record_cases()[name]
+    cls = type(record)
+    assert dataclasses.is_dataclass(record)
+    names = tuple(field.name for field in dataclasses.fields(record))
+    assert names == record._fields  # in declaration order
+    for method in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert getattr(cls, method) is getattr(Record, method)
+    assert cls.__init__.__code__.co_filename.endswith(".py")  # not generated
+    copy = dataclasses.replace(record)
+    assert type(copy) is cls and copy == record and copy is not record
+    for field in names:
+        changed = dataclasses.replace(record, **{field: "other"})
+        assert type(changed) is cls and changed != record
+        assert [getattr(changed, n) for n in names] == [
+            "other" if n == field else getattr(record, n) for n in names
+        ]
+    flat = {n: getattr(record, n) for n in names}
+    if name == "BoundReport":
+        flat["entries"] = tuple(map(dataclasses.asdict, record.entries))
+    assert dataclasses.asdict(record) == dataclasses.asdict(twin) == flat

@@ -173,6 +173,8 @@ def test_fraction_clamp_and_sandwich_equal_fraction_comparisons():
     zero, one = Fraction(0), Fraction(1)
     edges = [zero, one, Fraction(3, 7), Fraction(9, 7), Fraction(-1, 5),
              Fraction(3, 7) + Fraction(1, 10**30), Fraction(3, 7) - Fraction(1, 10**30)]
+    # the report splits the exact value once, as (numerator, denominator, float)
+    split = {e: (e.numerator, e.denominator, float(e)) for e in (zero, Fraction(3, 7), one)}
     for exact in (zero, Fraction(3, 7), one):
         for value in edges + [exact]:
             clamped = unions_module._clamp(value)
@@ -180,12 +182,20 @@ def test_fraction_clamp_and_sandwich_equal_fraction_comparisons():
             assert type(clamped) is Fraction
             if zero <= value <= one:
                 assert clamped is value
-            assert unions_module._sandwich_ok("lower", value, exact) is (value <= exact)
-            assert unions_module._sandwich_ok("upper", value, exact) is (value >= exact)
+            lower = unions_module._sandwich_ok("lower", value, split[exact])
+            upper = unions_module._sandwich_ok("upper", value, split[exact])
+            assert lower is (value <= exact) and upper is (value >= exact)
     for value in (-1, 0, 1, 2):  # ints take the same exact branch
         assert unions_module._clamp(value) == min(max(value, 0), 1)
-        assert unions_module._sandwich_ok("lower", value, one) is (value <= 1)
-        assert unions_module._sandwich_ok("upper", value, zero) is (value >= 0)
+        assert unions_module._sandwich_ok("lower", value, split[one]) is (value <= 1)
+        assert unions_module._sandwich_ok("upper", value, split[zero]) is (value >= 0)
+    slack = unions_module._FLOAT_SLACK  # floats pass within the relative slack
+    for exact, pre in split.items():
+        e = float(exact)
+        for value, lower, upper in ((e, True, True), (e + 2 * slack, False, True),
+                                    (e - 2 * slack, True, False), (e + slack / 2, True, True)):
+            assert unions_module._sandwich_ok("lower", value, pre) is lower
+            assert unions_module._sandwich_ok("upper", value, pre) is upper
 
 
 def test_holder_union_bound_values(s2):
