@@ -95,6 +95,9 @@ class Record:
 
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields  # positional ``case`` patterns
+
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
@@ -115,3 +118,11 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DataclassFields:
+    """``__dataclass_fields__`` that makes its class a dataclass on first read."""
+
+    def __get__(self, obj: object, cls: type) -> dict:
+        from dataclasses import dataclass
+        return dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, repeat
 from typing import Callable, Iterable, Protocol, Sequence, Union
 
-from ._numeric import Number, Record, is_exact
+from ._numeric import DataclassFields, Number, Record, is_exact
 from .events import EventSystem, per_event_moments
 
 ProbabilityLike = Union[int, float, Fraction, str]
@@ -127,8 +126,6 @@ def _alpha_moments(model: SequenceModel, n: int) -> tuple[Number, Number]:
     return p, e1
 
 
-# The decorator generates no method: it lists the fields for dataclasses.replace.
-@dataclass(init=False, repr=False, eq=False)
 class BCEstimate(Record):
     """A finite-horizon estimate over the window m..n.
 
@@ -139,6 +136,7 @@ class BCEstimate(Record):
     subsequence for the estimator to converge to the limsup probability.
     """
 
+    __dataclass_fields__ = DataclassFields()
     _fields = ("n", "m", "value", "window_bound", "condition_value")
     n: int
     m: int

@@ -223,6 +223,14 @@ def _exponent_pairs(args: argparse.Namespace) -> list[tuple[Number, Number]]:
     return list(zip(a_list, rho_list))
 
 
+def _exact_text(value: Number) -> str | None:
+    """Exact text of ``value``; None for a float or past the int-to-str limit."""
+    try:
+        return str(value) if is_exact(value) else None
+    except ValueError:
+        return None
+
+
 _BOUNDS_COLUMNS = ("name", "kind", "value", "clamped", "exact", "pass", "note")
 
 
@@ -232,7 +240,8 @@ def run_bounds(args: argparse.Namespace) -> int:
         raise CliInputError(f"{args.input}: the system has no events")
     reports = [compare_bounds(system, a, rho) for a, rho in _exponent_pairs(args)]
     exact = reports[0].exact
-    document = {"input": args.input, "exact": str(exact), "exact_float": exact}
+    text = _exact_text(exact)
+    document = {"input": args.input, "exact": text, "exact_float": exact}
     document["sections"], sections = [], []
     for report in reports:
         rows, entries = [], []
@@ -240,12 +249,8 @@ def run_bounds(args: argparse.Namespace) -> int:
             value = entry.clamped if args.clamp else entry.value
             row = (entry.name, entry.kind, value, entry.clamped, exact, entry.passed)
             rows.append((*row, entry.error or ""))
-            try:  # no exact text past the interpreter's int-to-str digit limit
-                value_exact = str(entry.value) if is_exact(entry.value) else None
-            except ValueError:
-                value_exact = None
             entries.append(dict(zip(_BOUNDS_COLUMNS, row)))
-            entries[-1].update(value_exact=value_exact, error=entry.error)
+            entries[-1].update(value_exact=_exact_text(entry.value), error=entry.error)
         a, rho = str(report.a), str(report.rho)
         document["sections"].append(
             {"a": a, "rho": rho, "all_pass": report.all_pass, "entries": entries}
@@ -253,10 +258,8 @@ def run_bounds(args: argparse.Namespace) -> int:
         caption = f"a={a} rho={rho}"
         tag = "" if (report.a, report.rho) == (1, 1) else f"[{caption}]"
         sections.append((caption, tag, rows))
-    heading = (
-        f"input: {args.input}",
-        f"exact union probability: {exact} ({format_number(exact)})",
-    )
+    shown = format_number(exact) if text is None else f"{text} ({format_number(exact)})"
+    heading = (f"input: {args.input}", f"exact union probability: {shown}")
     _emit(args, document, _BOUNDS_COLUMNS, sections, heading, table_only=("note",))
     return EXIT_OK if all(report.all_pass for report in reports) else EXIT_VIOLATION
 

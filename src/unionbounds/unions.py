@@ -14,12 +14,11 @@ entry instead of aborting the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
 
-from ._numeric import Number, Record, is_exact
+from ._numeric import DataclassFields, Number, Record, is_exact
 from .bounds import (  # the scalar bounds: BOUNDS names them, _evaluate finds them
     MomentVector,
     VARIANTS,
@@ -223,11 +222,10 @@ def union_bound(
     return _evaluate(system, _row_key(name, a, rho), {})
 
 
-# The decorator generates no method: it lists the fields for dataclasses.replace.
-@dataclass(init=False, repr=False, eq=False)
 class BoundEntry(Record):
     """One bound evaluation within a report."""
 
+    __dataclass_fields__ = DataclassFields()
     _fields = ("name", "kind", "value", "clamped", "arithmetic", "passed", "error")
     name: str
     kind: str  # "lower" or "upper"
@@ -247,10 +245,10 @@ class BoundEntry(Record):
         )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BoundReport(Record):
     """Bounds evaluated against the exact union probability."""
 
+    __dataclass_fields__ = DataclassFields()
     _fields = ("exact", "a", "rho", "entries")
     exact: Fraction
     a: Number

@@ -486,7 +486,9 @@ def test_serialize_system_canonical():
 # so each check runs in a fresh interpreter.
 SRC = str(Path(unionbounds.__file__).resolve().parents[1])
 ON_FIRST_USE = (
-    "unionbounds._selftest", "unionbounds.borel_cantelli", "unionbounds._general"
+    "unionbounds._selftest", "unionbounds.borel_cantelli", "unionbounds._general",
+    # what the report records' dataclass metadata imports when a tool reads it
+    "dataclasses", "inspect",
 )
 ESTIMATORS = ("bc_lower_estimate", "bc_upper_estimate", "kochen_stone_ratio")
 
@@ -524,6 +526,9 @@ BC_ARGV = ["bc", "--model", "independent", "--p", "1/2", "--n", "3", "--n", "5"]
     ],
 )
 def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
+    """A command imports only the modules it runs, and never ``dataclasses``:
+    the report records build their dataclass metadata on the first read, once,
+    and keep their docstrings."""
     if argv[0] == "bounds":
         argv = [*argv, "--input", s3_path]
     out = run_fresh(
@@ -531,26 +536,33 @@ def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
         import sys, unionbounds.cli
         assert unionbounds.cli.main({argv!r}) == 0
         print([name for name in {ON_FIRST_USE!r} if name in sys.modules])
+        import dataclasses
+        from unionbounds.borel_cantelli import BCEstimate
+        from unionbounds.unions import BoundEntry, BoundReport
+        for cls in (BoundEntry, BoundReport, BCEstimate):
+            doc, lazy = cls.__doc__, vars(cls)["__dataclass_fields__"]
+            assert type(lazy).__name__ == "DataclassFields"
+            assert dataclasses.is_dataclass(cls)
+            fields = vars(cls)["__dataclass_fields__"]
+            assert type(fields) is dict and cls.__dataclass_fields__ is fields
+            assert cls.__doc__ == doc
+        print("built once")
         """
     )
-    assert out[-1] == repr(loaded)
+    assert out[-2:] == [repr(loaded), "built once"]
 
 
 RECORDS = {
     "bounds": ("ExponentParams", "MomentVector"),
     "events": ("EventSystem", "OccupancyProfile", "PerEventMoments"),
 }
-DATACLASSES = {
-    "unions": ("BoundEntry", "BoundReport"),
-    "borel_cantelli": ("BCEstimate",),
-}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_bounds_loads_no_general_bound_and_generates_no_record(fmt, s3_path):
     """A report never loads the certified general bound, and the records it
-    builds are plain classes; the records that tools rebuild with
-    ``dataclasses.replace`` stay dataclasses."""
+    builds are plain classes (the report records' dataclass metadata is
+    checked with the modules each command loads)."""
     argv = ["bounds", "--input", s3_path, "--format", fmt, "--a", "3/2", "--rho", "5/4"]
     out = run_fresh(
         f"""
@@ -558,18 +570,15 @@ def test_bounds_loads_no_general_bound_and_generates_no_record(fmt, s3_path):
         assert unionbounds.cli.main({argv!r}) == 0
         print("unionbounds._general" in sys.modules)
         kinds = {{}}
-        for table in ({RECORDS!r}, {DATACLASSES!r}):
-            for module, names in table.items():
-                module = importlib.import_module("unionbounds." + module)
-                for name in names:
-                    kinds[name] = dataclasses.is_dataclass(getattr(module, name))
+        for module, names in {RECORDS!r}.items():
+            module = importlib.import_module("unionbounds." + module)
+            for name in names:
+                kinds[name] = dataclasses.is_dataclass(getattr(module, name))
         print(kinds)
         """
     )
     assert out[-2] == "False"
-    flags = {name: False for names in RECORDS.values() for name in names}
-    flags.update({name: True for names in DATACLASSES.values() for name in names})
-    assert out[-1] == repr(flags)
+    assert out[-1] == repr({name: False for names in RECORDS.values() for name in names})
 
 
 @pytest.mark.skipif(
@@ -594,6 +603,40 @@ def test_bounds_past_the_int_digit_limit_gives_no_exact_text(fmt, tmp_path):
         for entry in section["entries"]:
             if entry["value_exact"] is not None:
                 assert float(Fraction(entry["value_exact"])) == entry["value"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bounds_with_an_exact_union_past_the_int_digit_limit(fmt, tmp_path):
+    """An exact union probability with more digits than the interpreter
+    converts to text is null in JSON and a float alone in the table heading,
+    and the run ends normally."""
+    # five disjoint events: every weight parses, the union's denominator
+    # 5 * p1 * ... * p5 of pairwise coprime 201-digit p has ~1000 digits
+    weights = [
+        w
+        for p in (10**200 + d for d in (1, 3, 7, 9, 13))
+        for w in (Fraction(1, 5 * p), Fraction(p - 1, 5 * p))
+    ]
+    union = sum(weights[::2])
+    assert len(str(union.denominator)) > 640
+    path = write_system(tmp_path, map(str, weights), [[2 * k] for k in range(5)])
+    result = run_python(
+        "-X", "int_max_str_digits=640", "-m", "unionbounds.cli", "bounds",
+        "--input", path, "--format", fmt,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_OK, "")
+    if fmt == "json":
+        document = json.loads(result.stdout)
+        assert (document["exact"], document["exact_float"]) == (None, float(union))
+        (section,) = document["sections"]
+        values = [entry["value_exact"] for entry in section["entries"]]
+        assert values == [None] * len(BOUND_NAMES)
+    elif fmt == "table":
+        heading = f"exact union probability: {format_number(union)}\n"
+        assert heading in result.stdout
 
 
 def test_package_resolves_borel_cantelli_names_on_first_use():

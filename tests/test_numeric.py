@@ -283,3 +283,34 @@ def test_report_records_keep_dataclass_fields_and_generate_no_method(name):
     if name == "BoundReport":
         flat["entries"] = tuple(map(dataclasses.asdict, record.entries))
     assert dataclasses.asdict(record) == dataclasses.asdict(twin) == flat
+
+
+@pytest.mark.parametrize("name", list(_record_cases()))
+def test_records_match_positional_class_patterns(name):
+    """``case Record(x, y, ...)`` binds the fields in declaration order, as
+    the frozen dataclasses' ``__match_args__`` did."""
+    record, _, _ = _record_cases()[name]
+    captures = ", ".join(f"v{i}" for i in range(len(record._fields)))
+    namespace = {"record": record, "cls": type(record)}
+    exec(f"match record:\n case cls({captures}):\n  bound = [{captures}]", namespace)
+    assert namespace["bound"] == [getattr(record, field) for field in record._fields]
+
+
+def test_report_records_dataclass_fields_are_as_declared():
+    """The lazily built dataclass metadata lists the declared fields with
+    their defaults, and leaves the docstrings as written."""
+    from unionbounds.borel_cantelli import BCEstimate
+    from unionbounds.unions import BoundEntry, BoundReport
+
+    declared = {  # (first docstring line, field defaults)
+        BoundEntry: ("One bound evaluation within a report.", {"error": None}),
+        BoundReport: ("Bounds evaluated against the exact union probability.", {}),
+        BCEstimate: ("A finite-horizon estimate over the window m..n.", {}),
+    }
+    for cls, (doc, defaults) in declared.items():
+        fields = dataclasses.fields(cls)
+        assert tuple(f.name for f in fields) == cls._fields == cls.__match_args__
+        given = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        assert given == defaults
+        assert all(f.default_factory is dataclasses.MISSING for f in fields)
+        assert cls.__doc__.splitlines()[0] == doc
