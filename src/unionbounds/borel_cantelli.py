@@ -64,26 +64,20 @@ def _runs(values: Iterable) -> list:
     return [(value, sum(1 for _ in group)) for value, group in groupby(values)]
 
 
-def balanced_sum(values: Sequence[Number], start: Number = 0) -> Number:
-    """``start`` plus the sum of ``values``, added in a balanced pairwise tree.
-
-    Each addition joins two partial sums of similar size, so an exact sum of
-    many rationals never carries one ever larger denominator through every
-    step as a running total does.
-    """
-    level = list(values)
-    while len(level) > 1:
-        paired = [a + b for a, b in zip(level[::2], level[1::2])]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return start + level[0] if level else start
-
-
 def _total(runs: list[tuple[Number, int]]) -> Number:
-    """The sum of count * term over the runs, added in a balanced tree."""
+    """Fraction(0) plus the sum of count * term over the runs, added in a
+    tree that halves the list at every level: each addition joins partial
+    sums of equal length, give or take one term, so exact sums carry no ever
+    growing running denominator and multiply integers of similar size."""
     terms = [term if count == 1 else term * count for term, count in runs]
-    return balanced_sum(terms, Fraction(0))
+
+    def tree(lo: int, hi: int) -> Number:
+        if hi - lo == 1:
+            return terms[lo]
+        mid = (lo + hi) // 2
+        return tree(lo, mid) + tree(mid, hi)
+
+    return Fraction(0) + tree(0, len(terms)) if terms else Fraction(0)
 
 
 def _scaled(row: Row) -> tuple[Number, Number, Number, int]:
@@ -254,13 +248,15 @@ class IndependentSequence:
         if not is_exact(s1):  # a window holding a float, so float sums
             t1, t2 = s1 - p, s2 - p * p
             return (p, p * (1 + t1), p * (1 + 3 * t1 + t1 * t1 - t2))
-        # t1, t2 as integers over d: one Fraction each for e1 and e2
+        # t1 over d1, t2 over d2, e2 over d = lcm(d1**2, d2): one Fraction each
         u, v = p.numerator, p.denominator
-        d = math.lcm(s1.denominator, s2.denominator, v * v)
-        t1 = s1.numerator * (d // s1.denominator) - u * (d // v)
-        t2 = s2.numerator * (d // s2.denominator) - u * u * (d // (v * v))
-        e2 = u * (d * (d + 3 * t1 - t2) + t1 * t1)
-        return (p, Fraction(u * (d + t1), v * d), Fraction(e2, v * d * d))
+        d1 = math.lcm(s1.denominator, v)
+        d2 = math.lcm(s2.denominator, v * v)
+        t1 = s1.numerator * (d1 // s1.denominator) - u * (d1 // v)
+        t2 = s2.numerator * (d2 // s2.denominator) - u * u * (d2 // (v * v))
+        d = math.lcm(d1 * d1, d2)
+        e2 = u * (d + 3 * t1 * (d // d1) + t1 * t1 * (d // (d1 * d1)) - t2 * (d // d2))
+        return (p, Fraction(u * (d1 + t1), v * d1), Fraction(e2, v * d))
 
     def window_moments(self, m: int, n: int) -> Runs:
         if m > n:

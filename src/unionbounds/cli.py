@@ -337,9 +337,12 @@ def run_bc(args: argparse.Namespace) -> int:
         try:
             lower = bc_lower_estimate(model, n)
             upper = bc_upper_estimate(model, args.m, n)
-            ratio = kochen_stone_ratio(model, n)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
+        try:  # the window 1..n is valid, so only alpha_1(n) = 0 raises
+            ratio = kochen_stone_ratio(model, n)
+        except ValueError:
+            ratio = None  # no event can occur among the first n
         rows.append((
             n, args.m, lower.value, lower.condition_value,
             upper.value, upper.window_bound, upper.condition_value, ratio,

@@ -424,6 +424,24 @@ class IntRowModel:
         [Fraction(1)] * 5,  # MX = 0 on every row
         [Fraction(1)],  # MX = DEN = 0
         [0, 1, Fraction(1, 2), 0, 0, 1, Fraction(2, 7), 0],
+        # unrelated denominators: a row's t1 over d1 and t2 over d2 meet over
+        # lcm(d1**2, d2), where neither of d1**2 and d2 need divide the other
+        pytest.param(
+            [Fraction(k % 7 + 1, 3 * k + 2) for k in range(1, 31)], id="k%7+1_over_3k+2"
+        ),
+        pytest.param(
+            [Fraction(1, q) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 1)] + [0],
+            id="prime_denominators",
+        ),
+        # squares that cancel: on the row 1/2, d1 = 6 while den S2 = 12, so
+        # d2 = 12 and lcm(d1, d2) falls short of lcm(d1**2, d2) = 36
+        pytest.param(
+            [Fraction(k, 6) for k in (2, 2, 4, 3, 0, 6)], id="d1_squared_not_in_d2"
+        ),
+        # and the reverse: on the row 1/3, d1 = 3 and d2 = 81
+        pytest.param(
+            [Fraction(k, 9) for k in (3, 1, 5, 9, 0)], id="d2_not_in_d1_squared"
+        ),
     ],
 )
 def test_integer_rows_at_zero_and_certain_events(probabilities):
@@ -433,9 +451,11 @@ def test_integer_rows_at_zero_and_certain_events(probabilities):
         models.append(IndependentSequence(probabilities[0]))
     rows = naive_independent_rows(probabilities)
     for model in models:
-        for m in sorted({1, min(2, n), n}):
+        for m in sorted({1, min(2, n), max(1, n // 2), n}):
             window_rows = naive_independent_rows(probabilities[m - 1 :])
-            assert expand_runs(model.window_moments(m, n)) == window_rows
+            window = expand_runs(model.window_moments(m, n))
+            assert window == window_rows
+            assert all(type(x) is Fraction for row in window for x in row)
             assert_matches_oracle(model, m, n, rows, window_rows)
 
 
@@ -469,6 +489,37 @@ def test_int_rows_give_exact_estimates():
         exact = [tuple(map(Fraction, rows[k % len(rows)])) for k in range(n)]
         for m in sorted({1, min(2, n), n}):
             assert_matches_oracle(model, m, n, exact, exact[m - 1 :])
+
+
+class Leaves:
+    """A number that counts the terms summed into it and records, for every
+    addition of two partial sums, the term counts of its two sides."""
+
+    def __init__(self, merges, leaves=1, depth=0):
+        self.merges, self.leaves, self.depth = merges, leaves, depth
+
+    def __add__(self, other):
+        self.merges.append((self.leaves, other.leaves))
+        depth = max(self.depth, other.depth) + 1
+        return Leaves(self.merges, self.leaves + other.leaves, depth)
+
+    def __radd__(self, zero):  # the exact 0 that every total starts from
+        return self
+
+
+def test_totals_join_equal_halves():
+    for length in range(1, 201):
+        merges = []
+        total = bc_module._total([(Leaves(merges), 1) for _ in range(length)])
+        assert (total.leaves, len(merges)) == (length, length - 1)
+        assert all(abs(left - right) <= 1 for left, right in merges), length
+        assert total.depth == (length - 1).bit_length()  # ceil(log2(length))
+    for length in (0, 1, 2, 3, 75, 150):
+        terms = [Fraction(k % 7 + 1, 3 * k + 2) for k in range(1, length + 1)]
+        runs = [(term, 1 + k % 3) for k, term in enumerate(terms)]
+        expected = sum(term * count for term, count in runs)
+        assert_same(bc_module._total(runs), Fraction(expected))
+    assert_same(bc_module._total([(1, 2), (0, 1)]), Fraction(2))
 
 
 def assert_close(actual, expected):

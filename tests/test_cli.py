@@ -428,6 +428,27 @@ def test_bc_value_outside_float_range_is_an_input_error(fmt, capsys):
     assert err == "error: kochen_stone at n=10 is outside the float range\n"
 
 
+def test_bc_undefined_kochen_stone_is_an_empty_cell(capsys):
+    # no event can occur among the first n = 1, so alpha_1(1) = 0 and only
+    # that cell is undefined; the rest of the grid is still reported
+    args = ["bc", "--model", "independent", "--p", "0", "--p", "1/2", "--n", "1", "--n", "2"]
+    assert main([*args, "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row["n"], row["kochen_stone"]) for row in rows] == [(1, None), (2, 2.0)]
+    assert rows[0]["upper_window"] == 0.0
+    assert main([*args, "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["", "2"]
+    assert main([*args, "--format", "table"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(line.split()) for line in lines] == [8, 7, 8]
+    for model in ("independent", "identical"):
+        code = main(["bc", "--model", model, "--p", "0", "--n", "5", "--format", "json"])
+        assert code == EXIT_OK
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert row["kochen_stone"] is None
+
+
 def test_bc_usage_errors(s3_path, capsys):
     assert main(["bc", "--model", "independent", "--n", "5"]) == EXIT_INPUT_ERROR
     assert "requires --p" in capsys.readouterr().err
