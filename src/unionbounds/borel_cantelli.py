@@ -10,6 +10,8 @@ diagnostics that drive convergence, and the Kochen-Stone ratio.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from contextlib import suppress
 from fractions import Fraction
 from itertools import groupby, repeat
@@ -64,20 +66,75 @@ def _runs(values: Iterable) -> list:
     return [(value, sum(1 for _ in group)) for value, group in groupby(values)]
 
 
-def _total(runs: list[tuple[Number, int]]) -> Number:
-    """Fraction(0) plus the sum of count * term over the runs, added in a
-    tree that halves the list at every level: each addition joins partial
-    sums of equal length, give or take one term, so exact sums carry no ever
-    growing running denominator and multiply integers of similar size."""
-    terms = [term if count == 1 else term * count for term, count in runs]
+def _halving(items: list, add: Callable = operator.add):
+    """The items added in a tree that halves the list at every level, so each
+    addition joins partial sums of equal length, give or take one item."""
 
-    def tree(lo: int, hi: int) -> Number:
+    def tree(lo: int, hi: int):
         if hi - lo == 1:
-            return terms[lo]
+            return items[lo]
         mid = (lo + hi) // 2
-        return tree(lo, mid) + tree(mid, hi)
+        return add(tree(lo, mid), tree(mid, hi))
 
-    return Fraction(0) + tree(0, len(terms)) if terms else Fraction(0)
+    return tree(0, len(items))
+
+
+def _total(runs: list[tuple[Number, int]]) -> Number:
+    """Fraction(0) plus the sum of count * term over the runs, in _halving's
+    tree; 0.0 for no runs, as exact estimator sums go through _sums."""
+    terms = [term if count == 1 else term * count for term, count in runs]
+    return Fraction(0) + _halving(terms) if terms else 0.0
+
+
+class _Lowest:
+    """A fraction already in lowest terms: Fraction(_Lowest(a, q)) copies both
+    fields, as Fraction does for every Rational, without a gcd."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(_Lowest)
+
+
+def _reduced(a: int, q: int, support: int) -> Fraction:
+    """a/q in lowest terms, q > 0, when every prime of gcd(a, q) divides
+    support: t holds the primes still to divide out, squared once found."""
+    if not a:
+        return Fraction(0)
+    t = math.gcd(support, q)
+    while (g := math.gcd(a, t)) > 1:
+        a, q = a // g, q // g
+        t = math.gcd(g * g, q)
+    return Fraction(_Lowest(a, q))
+
+
+def _sums(leaves: list[tuple[int, ...]]) -> list[Fraction]:
+    """The sums of x/q over the leaves (q, x, ...), q > 0, per numerator
+    place, in lowest terms. Each leaf is put over its least q, in place, and
+    the unreduced merges share one g = gcd(q1, q2). As every prime of a final
+    gcd(x, q) divides a merge's g or a leaf's gcd(x, q) (README), gcds with
+    their lcm, the support, reduce the sums.
+    """
+    shared = []
+    for i, (q, *xs) in enumerate(leaves):
+        gs = [math.gcd(x, q) for x in xs]
+        g = math.gcd(*gs)
+        shared += [h // g for h in gs]
+        leaves[i] = (q // g, *[x // g for x in xs])
+
+    def merge(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+        (q1, *xs), (q2, *ys) = left, right
+        g = math.gcd(q1, q2)
+        shared.append(g)
+        u, v = q1 // g, q2 // g
+        return (u * q2, *[x * v + y * u for x, y in zip(xs, ys)])
+
+    q, *totals = _halving(leaves, merge)
+    support = math.lcm(*shared)
+    return [_reduced(x, q, support) for x in totals]
 
 
 def _scaled(row: Row) -> tuple[Number, Number, Number, int]:
@@ -321,8 +378,17 @@ def bc_lower_estimate(model: SequenceModel, n: int) -> BCEstimate:
     along a subsequence, value tends to P(A_n i.o.). 0/0 terms read as 0.
     """
     _check_window(model, 1, n)
+    runs = _window(model, 1, n)
+    if runs and all(scaled[3] for _, scaled, _ in runs):
+        leaves = []  # (d n MX, value numerator, condition numerator)
+        for _, (p, e1, e2, d), c in runs:
+            miss1, missx = n * p - e1, n * e1 - e2  # as below
+            leaf = (d * n * missx, c * (p * missx + miss1 * miss1), c * d * miss1)
+            leaves.append(leaf if missx > 0 else (d * n, c * p, 0))
+        value, condition = _sums(leaves)
+        return BCEstimate(n, 1, value, value, condition)
     terms, conditions = [], []
-    for row, (p, e1, e2, d), count in _window(model, 1, n):
+    for row, (p, e1, e2, d), count in runs:
         miss1 = n * p - e1  # E (n - X) I_k, times d if exact
         missx = n * e1 - e2  # E (n - X) X I_k, times d if exact
         if missx <= 0:
@@ -348,8 +414,19 @@ def bc_upper_estimate(model: SequenceModel, m: int, n: int) -> BCEstimate:
     bound for P(union of A_m..A_n) at every finite window. 0/0 reads as 0.
     """
     _check_window(model, m, n)
+    runs = _window(model, m, n)
+    if runs and all(scaled[3] for _, scaled, _ in runs):
+        pairs, sharps = [], []  # (d E2, value, condition), (d den, window)
+        for _, (p, e1, e2, d), c in runs:
+            num, den = e1 - p, e2 - e1  # as below
+            pair = (d * e2, c * (p * e2 - e1 * e1), c * d * e1)
+            pairs.append(pair if e2 > 0 else (d, c * p, 0))
+            sharp = (d * den, c * (p * den - num * num))
+            sharps.append(sharp if den > 0 else (d, c * p))
+        (value, condition), (window,) = _sums(pairs), _sums(sharps)
+        return BCEstimate(n, m, value, window, condition)
     terms, windows, conditions = [], [], []
-    for row, (p, e1, e2, d), count in _window(model, m, n):
+    for row, (p, e1, e2, d), count in runs:
         num = e1 - p  # E (X - 1) I_k, times d if exact
         den = e2 - e1  # E X (X - 1) I_k, times d if exact
         if e2 <= 0:
@@ -358,7 +435,7 @@ def bc_upper_estimate(model: SequenceModel, m: int, n: int) -> BCEstimate:
             term = Fraction(p * e2 - e1 * e1, d * e2)
             conditions.append((Fraction(e1, e2), count))
         else:
-            term = p - e1 * e1 / e2
+            term = (p * e2 - e1 * e1) / e2
             conditions.append((e1 / e2, count))
         if den <= 0:
             sharp = row[0]

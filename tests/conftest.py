@@ -248,13 +248,13 @@ def naive_bc_upper(rows) -> tuple:
     """(value, window_bound, condition_value) of the upper estimator."""
     value = window = condition = Fraction(0)
     for p, e1, e2 in rows:
-        drop = Fraction(0)
-        if e2 > 0:
-            drop = e1 * e1 / e2
+        term = p
+        if e2 > 0:  # the library's form: P E2 - E1**2 = P**2 (T1 - T2) >= 0
+            term = (p * e2 - e1 * e1) / e2
             condition = condition + e1 / e2
         num, den = e1 - p, e2 - e1
         sharp = num * num / den if den > 0 else Fraction(0)
-        value = value + p - drop
+        value = value + term
         window = window + p - sharp
     return value, window, condition
 

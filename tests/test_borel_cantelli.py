@@ -5,8 +5,10 @@ The independent model's closed-form window moments are checked against full
 bounds it must reproduce."""
 
 import gc
+import hashlib
 import itertools
 import math
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -491,35 +493,172 @@ def test_int_rows_give_exact_estimates():
             assert_matches_oracle(model, m, n, exact, exact[m - 1 :])
 
 
-class Leaves:
-    """A number that counts the terms summed into it and records, for every
-    addition of two partial sums, the term counts of its two sides."""
+def test_sums_join_equal_halves(monkeypatch):
+    # Each item is tagged (term count, depth) through a wrapped _halving, so
+    # every addition that _sums and _total make records its two sides.
+    halving, merges, depths = bc_module._halving, [], []
 
-    def __init__(self, merges, leaves=1, depth=0):
-        self.merges, self.leaves, self.depth = merges, leaves, depth
+    def tagged(items, add=operator.add):
+        def join(left, right):
+            merges.append((left[0], right[0]))
+            return left[0] + right[0], max(left[1], right[1]) + 1, add(left[2], right[2])
 
-    def __add__(self, other):
-        self.merges.append((self.leaves, other.leaves))
-        depth = max(self.depth, other.depth) + 1
-        return Leaves(self.merges, self.leaves + other.leaves, depth)
+        _, depth, total = halving([(1, 0, item) for item in items], join)
+        depths.append(depth)
+        return total
 
-    def __radd__(self, zero):  # the exact 0 that every total starts from
-        return self
-
-
-def test_totals_join_equal_halves():
+    monkeypatch.setattr(bc_module, "_halving", tagged)
     for length in range(1, 201):
-        merges = []
-        total = bc_module._total([(Leaves(merges), 1) for _ in range(length)])
-        assert (total.leaves, len(merges)) == (length, length - 1)
-        assert all(abs(left - right) <= 1 for left, right in merges), length
-        assert total.depth == (length - 1).bit_length()  # ceil(log2(length))
-    for length in (0, 1, 2, 3, 75, 150):
+        leaves = [(k + 2, k, 1) for k in range(length)]
+        runs = [(Fraction(1, k + 2), 1) for k in range(length)]
+        for total in (lambda: bc_module._sums(leaves), lambda: bc_module._total(runs)):
+            merges.clear()
+            depths.clear()
+            total()
+            assert len(merges) == length - 1
+            assert all(abs(left - right) <= 1 for left, right in merges), length
+            assert depths == [(length - 1).bit_length()]  # ceil(log2(length))
+
+
+def test_totals_of_exact_runs_and_of_none():
+    for length in (1, 2, 3, 75, 150):
         terms = [Fraction(k % 7 + 1, 3 * k + 2) for k in range(1, length + 1)]
         runs = [(term, 1 + k % 3) for k, term in enumerate(terms)]
         expected = sum(term * count for term, count in runs)
         assert_same(bc_module._total(runs), Fraction(expected))
     assert_same(bc_module._total([(1, 2), (0, 1)]), Fraction(2))
+    assert_same(bc_module._total([]), 0.0)  # only windows holding a float sum here
+
+
+BIG_PRIME = 2**127 - 1
+
+
+def seeded_leaves(rng, places):
+    """Leaves (q, x, ...) of one of several shapes, by the draw."""
+    shape = rng.choice(("small", "prime", "powers", "repeated", "zeros"))
+    leaves = []
+    for _ in range(rng.randint(1, 40)):
+        q = rng.randint(1, 10**6)
+        xs = [rng.randint(0, 10**6) for _ in range(places)]
+        if shape == "prime":  # a large prime shared by many q and x
+            q *= BIG_PRIME ** rng.randint(0, 2)
+            xs = [x * BIG_PRIME ** rng.randint(0, 1) for x in xs]
+        elif shape == "powers":  # high powers of 2 and 5, as in (9/10)**k
+            q = 2 ** rng.randint(0, 300) * 5 ** rng.randint(0, 300)
+            xs = [x * 2 ** rng.randint(0, 200) for x in xs]
+        elif shape == "zeros":
+            xs = [x * rng.randint(0, 1) for x in xs]
+        count = rng.randint(1, 7)  # a run's count scales its numerators
+        leaves.append((q, *[count * x for x in xs]))
+        if shape == "repeated":
+            leaves.append(leaves[-1])
+    return leaves
+
+
+def fraction_sums(leaves):
+    """Per numerator place, sum() of the leaves' Fraction(x, q)."""
+    return [
+        sum((Fraction(leaf[j], leaf[0]) for leaf in leaves), Fraction(0))
+        for j in range(1, len(leaves[0]))
+    ]
+
+
+def test_sums_equal_fraction_sums_in_lowest_terms():
+    rng = random.Random(2903)
+    cases = [seeded_leaves(rng, places) for places in (1, 2) for _ in range(150)]
+    cases += [
+        [(6, 1), (6, 1)],  # 2/6: only the merge's gcd finds the 2
+        [(4, 1, 3), (4, 1, 1), (4, 2, 0)],  # 4/4 twice: the merges' g = 4
+        [(3, 0), (5, 0)],  # a sum of zeros
+        [(7, 2, 1), (35, -10, 0), (1, 0, 5)],  # a sum that cancels to 0
+        [(BIG_PRIME**2, BIG_PRIME, 1), (BIG_PRIME**2, BIG_PRIME * (BIG_PRIME - 1), 2)],
+    ]
+    negated = [[(q, *[-x for x in xs]) for q, *xs in leaves] for leaves in cases[:20]]
+    cases += [leaves + flipped for leaves, flipped in zip(cases, negated)]  # sums 0
+    for leaves in cases:
+        expected = fraction_sums(leaves)
+        sums = bc_module._sums(list(leaves))
+        assert [(type(x), x) for x in sums] == [(Fraction, x) for x in expected]
+        for x in sums:  # Fraction.__eq__ compares the fields: check them too
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    assert bc_module._sums([(3, 0), (5, 0)])[0].denominator == 1
+
+
+# (value, condition_value) of bc_lower_estimate, then (value, window_bound,
+# condition_value) of bc_upper_estimate at m = 1, for p_k = (9/10)**k: the
+# first 16 hex digits of the sha256 of each numerator's and denominator's
+# signed big-endian bytes (str() stops at 4300 digits).
+GEOMETRIC_DIGESTS = {
+    75: ("f51fd75e70f43d11", "352e41b16c2f4b83", "7c16f9fa281ee571",
+         "68aa167002d86d1a", "09e96a7a91e9c945"),
+    150: ("8fb43fecaccedb5d", "22e1aad6f09b0fdd", "bda3cad3590b3ceb",
+          "9463e90b3497f45c", "a73fb1e6a16169df"),
+}
+
+
+def fraction_digest(x):
+    digest = hashlib.sha256()
+    for v in (x.numerator, x.denominator):
+        digest.update(v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True))
+    return digest.hexdigest()[:16]
+
+
+def test_geometric_exact_estimates_are_pinned(monkeypatch):
+    reduced, reductions = bc_module._reduced, []
+
+    def recorded(a, q, support):
+        reductions.append((q.bit_length(), support.bit_length()))
+        return reduced(a, q, support)
+
+    monkeypatch.setattr(bc_module, "_reduced", recorded)
+    model = IndependentSequence(lambda k: Fraction(9, 10) ** k)
+    for n, digests in GEOMETRIC_DIGESTS.items():
+        reductions.clear()
+        lower, upper = bc_lower_estimate(model, n), bc_upper_estimate(model, 1, n)
+        fields = (lower.value, lower.condition_value, upper.value,
+                  upper.window_bound, upper.condition_value)
+        assert tuple(map(fraction_digest, fields)) == digests
+        assert len(reductions) == 5
+        # the sums are reduced by gcds with a support of ~1k bits, not ~147k
+        for q_bits, support_bits in reductions:
+            assert q_bits > 6 * n * n and support_bits < 1500, (n, q_bits)
+
+
+def test_float_upper_values_are_not_negative():
+    # 0.1 - 0.1 * 0.1 / 0.1 rounded to -1.39e-17; the exact value is 0
+    upper = bc_upper_estimate(IndependentSequence(0.1), 1, 1)
+    assert_same(upper.value, 0.0)
+    # Every window m..n of 300 seeded float sequences of 1 to 12 events: the
+    # form p - E1**2 / E2 gave 77 negative values of 9100, all at m = n.
+    windows = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        model = IndependentSequence([rng.random() for _ in range(1 + seed % 12)])
+        for n in range(1, model.horizon + 1):
+            for m in range(1, n + 1):
+                assert bc_upper_estimate(model, m, n).value >= 0, (seed, m, n)
+                windows += 1
+    assert windows == 9100
+
+
+FLOAT_MODELS = (
+    IndependentSequence(0.1),
+    IndependentSequence([0.3, 0.0, 0.2]),
+    IndependentSequence(lambda k: 0.9**k),
+    IdenticalSequence(0.25),
+    IdenticalSequence(0.0),
+    IdenticalSequence(1.0),
+)
+
+
+@pytest.mark.parametrize("model", FLOAT_MODELS)
+def test_float_models_give_float_fields(model):
+    # an empty sum over float rows used to be Fraction(0)
+    for n in (1, 2, 3):
+        for m in range(1, n + 1):
+            for estimate in (bc_lower_estimate(model, n), bc_upper_estimate(model, m, n)):
+                for name in ("value", "window_bound", "condition_value"):
+                    assert type(getattr(estimate, name)) is float, (n, m, name)
 
 
 def assert_close(actual, expected):
