@@ -282,6 +282,58 @@ def test_window_validation_errors(s3):
         bc_lower_estimate(sequence, 5)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IndependentSequence(Fraction(1, 3)),
+        lambda: IndependentSequence([Fraction(1, 3)] * 4),
+        lambda: IndependentSequence(lambda k: Fraction(1, k + 1)),
+        lambda: IdenticalSequence(Fraction(1, 3)),
+        lambda: ExplicitSequence(build_system(["1/2", "1/2"], [[0], [1], [0, 1], [1]])),
+    ],
+    ids=["independent-constant", "independent-listed", "independent-callable",
+         "identical", "explicit"],
+)
+def test_indices_must_be_ints(make):
+    # n = 2.5 gave a float estimate of an exact model, n = True a record with
+    # n = True, and sequence models a bare TypeError from range
+    model = make()
+    for index in (True, 2.0, 2.5, Fraction(2), float("nan"), float("inf"), "3"):
+        calls = [
+            lambda: bc_lower_estimate(model, index),
+            lambda: bc_upper_estimate(model, 1, index),
+            lambda: bc_upper_estimate(model, index, 3),
+            lambda: kochen_stone_ratio(model, index),
+            lambda: model.window_moments(index, 3),
+            lambda: model.window_moments(1, index),
+        ]
+        if isinstance(model, IndependentSequence):
+            calls.append(lambda: model.probability(index))
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an int"):
+                call()
+
+
+def test_runs_must_cover_the_window():
+    # the runs' counts add up to the window's width: an empty window would
+    # reach the shared sums with no leaf
+    class Short:
+        horizon = None
+
+        def window_moments(self, m, n):
+            return [((Fraction(1, 2), Fraction(1), Fraction(2)), 1)] * (n - m)
+
+        alpha_moments = bc_module._alpha_moments
+
+    for call in (
+        lambda: bc_lower_estimate(Short(), 1),
+        lambda: bc_upper_estimate(Short(), 2, 4),
+        lambda: kochen_stone_ratio(Short(), 3),
+    ):
+        with pytest.raises(ValueError, match="must cover"):
+            call()
+
+
 def test_probability_validation():
     with pytest.raises(ValueError):
         IndependentSequence(Fraction(3, 2))
@@ -687,6 +739,37 @@ def test_float_estimators_agree_with_per_k_oracle():
         value, condition = naive_bc_lower(rows, 3000)
         assert_close(lower.value, value)
         assert_close(lower.condition_value, condition)
+
+
+class MixedRowModel:
+    """A custom model whose window rows are those of independent events with
+    p_k = 1/(k + 1), every second one as floats, the first one exact."""
+
+    horizon = None
+
+    def window_moments(self, m, n):
+        rows = naive_independent_rows([Fraction(1, k + 1) for k in range(m, n + 1)])
+        return [
+            (tuple(map(float, row)) if i % 2 else row, 1) for i, row in enumerate(rows)
+        ]
+
+
+def test_mixed_exact_and_float_rows_give_float_fields():
+    # a window whose first leaf is exact must still see its float leaves
+    model = MixedRowModel()
+    for n in (2, 3, 6):
+        lower = bc_lower_estimate(model, n)
+        value, condition = naive_bc_lower(expand_runs(model.window_moments(1, n)), n)
+        assert_close(lower.value, value)
+        assert_close(lower.window_bound, value)
+        assert_close(lower.condition_value, condition)
+        for m in sorted({1, n - 1}):
+            upper = bc_upper_estimate(model, m, n)
+            rows = expand_runs(model.window_moments(m, n))
+            value, window, condition = naive_bc_upper(rows)
+            assert_close(upper.value, value)
+            assert_close(upper.window_bound, window)
+            assert_close(upper.condition_value, condition)
 
 
 def test_late_float_window_reads_a_direct_sum():
