@@ -4,9 +4,10 @@ probabilities of unions of events.
 The scalar layer bounds sum(r) for an unknown non-negative vector r from its
 power moments s_k = sum_i i**(a + (k-1)*rho) * r_i. The probability layer
 applies those bounds per event and to the occupancy profile of an exact
-finite probability space, recovering the classic Chung-Erdos, de Caen and
-fractional-window second-moment bounds as special cases. A third layer
-estimates limsup (Borel-Cantelli) probabilities at finite horizons.
+finite probability space, recovering the classic Chung-Erdos, de Caen,
+fractional-window, Dawson-Sankoff, Kwerel and Holder bounds as special
+cases. A third layer estimates limsup (Borel-Cantelli) probabilities at
+finite horizons.
 
 Arithmetic stays exact over the rationals whenever the inputs allow it.
 """
@@ -70,7 +71,6 @@ __all__ = [
     "compare_bounds",
     "exact_union_probability",
     "general_bound",
-    "holder_lower_bound",
     "holder_union_bound",
     "kochen_stone_ratio",
     "lower_bound_three_moments",

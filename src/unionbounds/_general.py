@@ -1,14 +1,13 @@
-"""The certified general bound and the Holder bound.
+"""The certified general bound.
 
 ``general_bound`` bounds sum(r) from generalised moments on any chosen index
 window and certifies the direction by an explicit sign certificate. The
-package and ``bounds`` import this module on first use of one of its names,
-and ``unions.holder_union_bound`` when it is called: no report row reads it.
+package and ``bounds`` import this module on first use of one of its names:
+no report row and no other function of the library reads it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -92,27 +91,6 @@ def solve_linear(
             acc -= aug[r][c] * solution[c]
         solution[r] = acc / aug[r][r]
     return solution
-
-
-def holder_lower_bound(alpha1: Number, alphap: Number, p: float) -> float:
-    """Lower bound on P(union) from the first and p-th occupancy moments.
-
-    ((E xi)**p / E xi**p) ** (q/p) with 1/p + 1/q = 1. p = 2 recovers the
-    classic second-moment bound; larger p never improves on it.
-    """
-    if not 1 < p < math.inf:
-        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
-    for value in (alpha1, alphap):
-        if isinstance(value, bool) or not _finite(value):
-            raise ValueError(f"moments must be finite numbers, got {value!r}")
-    if alpha1 < 0 or alphap < 0:
-        raise ValueError("moments must be non-negative")
-    if alpha1 == 0:
-        return 0.0
-    if alphap == 0:
-        raise ValueError("alphap must be positive when alpha1 is")
-    p_f = float(p)
-    return (float(alpha1) ** p_f / float(alphap)) ** (1.0 / (p_f - 1.0))
 
 
 def _zero_like(*values: Number) -> Number:

@@ -3,8 +3,8 @@
 Given s_k = sum_i i**(a + (k-1)*rho) * r_i for an unknown non-negative vector
 r over indices 1..n, the functions here return certified lower and upper
 bounds on sum(r) from two or three moments. A general engine for arbitrary
-non-negative feature rows with an explicit sign certificate, and the Holder
-bound, live in ``_general``; their names here resolve on first use.
+non-negative feature rows with an explicit sign certificate lives in
+``_general``; its names here resolve on first use.
 
 Each refined bound is the total mass of the vector that matches the moments
 on its index window, and one kernel, ``_window_bound``, computes it for exact
@@ -17,7 +17,8 @@ those numbers (floats with a relative slack of 1e-9); only the last step
 differs: one ``Fraction``, or a float sum of the point masses that raises
 ArithmeticError when it is not finite or impossible. The simplified forms
 that a report reads need no root of delta: ``lower_bound_two_moments_simple``
-(one Fraction of those integers when rho divides a) and the paper's
+(one Fraction of those integers when rho divides a, else one float power of
+s1/s2 <= 1 at every rho) and the paper's
 three-moment form "rho_ge_1_simple" at a = rho >= 1, where delta**a = d2/d1.
 The paper's other simplified three-moment forms are dominated by the refined
 bounds and live on in the tests as oracles. Every function is pure and safe
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -347,16 +349,13 @@ def _possible(value: Number, kind: str, s1: Number, n: int, a: Number) -> Number
     )
 
 
-_THETA_MAX = 1.0 - 1e-12
-
-
 def _float_window(ratio: float, rho: float) -> tuple[float, int, float]:
     """(delta, b, w) of a float moment ratio: delta = ratio**(1/rho), b its
     floor and w = (ratio - b**rho) / ((b+1)**rho - b**rho), the unclamped
     refined weight of b+1. A delta within _INTEGER_SNAP of an integer snaps
     onto it (delta = b, w = 0), so rounding noise never moves a window edge;
-    the window is on the point b when w <= 0. The one float window rule of
-    ``_window_bound`` and ``lower_bound_two_moments_simple``."""
+    the window is on the point b when w <= 0. The float window rule of
+    ``_window_bound``, its one caller."""
     delta = ratio ** (1.0 / rho)
     nearest = round(delta)
     if abs(delta - nearest) < _INTEGER_SNAP:
@@ -453,34 +452,28 @@ def lower_bound_two_moments(moments: MomentVector) -> Number:
 
 
 def lower_bound_two_moments_simple(moments: MomentVector) -> Number:
-    """Window-free two-moment lower bound.
+    """Window-free two-moment lower bound, one formula at every rho > 0.
 
-    s1**((a+rho)/rho) / s2**(a/rho) for rho >= 1, the one Fraction
-    S1**(e+1) / (S2**e * D) of exact moments S_k/D when e = a/rho is an
-    integer; for rho < 1 (float input only) the same value scaled by
-    (1 - w)/(1 - theta), with theta the fractional part of delta and w the
-    refined weight of ``_float_window``, both clamped to [0, _THETA_MAX].
-    Never exceeds the refined two-moment bound on the same moments.
+    s1**((a+rho)/rho) / s2**(a/rho), Lyapunov's inequality: log sum i**t r_i
+    is convex in t, read at t = 0, a and a + rho. Exact moments S_k/D with
+    e = a/rho an integer give the one Fraction S1**(e+1) / (S2**e * D); every
+    other input gives the float s1 * (s1/s2)**e, whose power of s1/s2 <= 1
+    never overflows and comes from the logs of S1 and S2 where s1/s2 would
+    underflow. Never exceeds the refined two-moment bound on the same
+    moments.
     """
     (s1, s2, scale), a, rho = _arithmetic(moments, 2)
-    n = moments.params.n_support
-    s2 = _two_moment_cone(s1, s2, scale, n, rho)
+    s2 = _two_moment_cone(s1, s2, scale, moments.params.n_support, rho)
     if s1 == 0:
         return _ratio(s1, scale)
-    if type(scale) is int:
-        if a % rho == 0:  # (S1/D)**(e+1) / (S2/D)**e, e = a/rho, in the integers
-            return Fraction(s1 ** (a // rho + 1), s2 ** (a // rho) * scale)
-        e_hi, e_lo = Fraction(a + rho, rho), Fraction(a, rho)
-        s1, s2 = Fraction(s1, scale), Fraction(s2, scale)
+    if type(scale) is int and a % rho == 0:  # (S1/D)**(e+1) / (S2/D)**e
+        return Fraction(s1 ** (a // rho + 1), s2 ** (a // rho) * scale)
+    e, ratio = a / rho, s1 / s2  # int / int rounds once, whatever their size
+    if ratio < sys.float_info.min:
+        power = math.exp(e * (math.log(s1) - math.log(s2)))
     else:
-        e_hi, e_lo = (a + rho) / rho, a / rho
-    core = rpow(s1, e_hi) / rpow(s2, e_lo)
-    if rho < 1:  # never integral, so s1 and s2 are floats
-        delta, b, w = _float_window(s2 / s1, rho)
-        theta = min(max(delta - b, 0.0), _THETA_MAX)
-        if theta != 0:
-            core = core * (1 - min(max(w, 0.0), _THETA_MAX)) / (1 - theta)
-    return _possible(core, "lower", s1, n, a)
+        power = ratio**e
+    return s1 / scale * power
 
 
 def upper_bound_two_moments(moments: MomentVector) -> Number:
@@ -569,7 +562,7 @@ def upper_bound_three_moments(
 # Imported on first use (PEP 562): no report row needs them.
 _GENERAL = (
     "CertificateError", "GeneralBoundOutcome", "InfeasibleIndicesError",
-    "general_bound", "holder_lower_bound",
+    "general_bound",
 )
 
 

@@ -5,7 +5,9 @@ over the moment vectors of one statistic of the system. The classic
 second-moment comparators are rows at fixed exponents a = rho = 1:
 Chung-Erdos is the window-free bound on the occupancy moments, de Caen's
 bound is the same form summed per event, and the fractional-window bound
-``kat`` is the refined per-event two-moment sum. ``compare_bounds`` runs a
+``kat`` is the refined per-event two-moment sum. Holder's bound, not a row,
+is the window-free bound on the occupancy vector at (1, p - 1) for any
+p > 1 (``holder_union_bound``). ``compare_bounds`` runs a
 selection against the exact union probability and reports each as pass or
 fail; a bound that fails with one of the library's errors becomes a failed
 entry instead of aborting the report.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from numbers import Real
 from typing import Iterable
 
 from ._numeric import DataclassFields, Number, Record, is_exact
@@ -28,7 +31,7 @@ from .bounds import (  # the scalar bounds: BOUNDS names them, _evaluate finds t
     _require_finite,
     lower_bound_three_moments,  # noqa: F401
     lower_bound_two_moments,  # noqa: F401
-    lower_bound_two_moments_simple,  # noqa: F401
+    lower_bound_two_moments_simple,
     upper_bound_three_moments,  # noqa: F401
     upper_bound_two_moments,  # noqa: F401
 )
@@ -80,13 +83,18 @@ RowKey = tuple[str, str, int, str | None, Number, Number]
 
 
 def holder_union_bound(system: EventSystem, p: Number) -> float:
-    """Holder lower bound from the occupancy moments alpha_1 and alpha_p.
+    """Holder lower bound ((E xi)**p / E xi**p)**(1/(p-1)), as a float: the
+    window-free two-moment bound on the occupancy vector at (1, p - 1).
 
-    A non-integral p evaluates E xi**p in floating point.
+    0.0 on a system with no events. A non-integral p evaluates E xi**p in
+    floating point.
     """
-    from ._general import holder_lower_bound
-
-    return holder_lower_bound(power_moments(system, 1), power_moments(system, p), p)
+    if isinstance(p, bool) or not isinstance(p, Real) or not 1 < p < math.inf:
+        raise ValueError(f"p must be finite and exceed 1, got {p!r}")
+    if system.n_events == 0:
+        return 0.0
+    vector = occupancy_moment_vector(system, 1, p - 1)
+    return float(lower_bound_two_moments_simple(vector))
 
 
 def occupancy_moment_vector(

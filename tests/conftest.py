@@ -8,6 +8,7 @@ so agreement between the two is a meaningful check.
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -114,15 +115,6 @@ def profile_moment_vector(system: EventSystem, a, rho, ell: int) -> tuple:
     return tuple(sbar)
 
 
-def profile_holder_moment(system: EventSystem, p: float) -> float:
-    """E xi**p in floats over the occupancy profile, for non-integral p."""
-    total = 0.0  # plain additions, whatever sum() does
-    for i, weight in enumerate(naive_occupancy_profile(system)):
-        if i:
-            total += float(weight) * i ** float(p)
-    return total
-
-
 # Independent closed forms of the classic and (1,1) union bounds, built from
 # the naive statistics above; the registry rows must reproduce them exactly.
 
@@ -164,6 +156,64 @@ def naive_kat(system: EventSystem) -> Fraction:
         if theta:
             total += theta * s1 * s1 / (s2 + (1 - theta) * s1)
     return total
+
+
+def naive_binomial_moments(system: EventSystem) -> tuple[Fraction, Fraction]:
+    """S1 = sum_k P(A_k) and S2 = sum_{k<l} P(A_k A_l), as E C(xi, 1) and
+    E C(xi, 2) over the atoms."""
+    s1 = s2 = Fraction(0)
+    for atom, count in enumerate(naive_occupancy_counts(system)):
+        s1 += system.weights[atom] * count
+        s2 += system.weights[atom] * math.comb(count, 2)
+    return s1, s2
+
+
+def naive_dawson_sankoff(system: EventSystem) -> Fraction:
+    """Dawson-Sankoff (1967): 2 S1/(k+1) - 2 S2/(k (k+1)) with
+    k = 1 + floor(2 S2/S1), read as 0 when S1 = 0."""
+    s1, s2 = naive_binomial_moments(system)
+    if s1 == 0:
+        return Fraction(0)
+    k = 1 + math.floor(2 * s2 / s1)
+    return 2 * s1 / (k + 1) - 2 * s2 / (k * (k + 1))
+
+
+def naive_kwerel_upper(system: EventSystem) -> Fraction:
+    """Kwerel (1975), Sathe, Pradhan & Shah (1980): S1 - 2 S2/N over the
+    N events."""
+    s1, s2 = naive_binomial_moments(system)
+    return s1 - 2 * s2 / system.n_events
+
+
+def holder_closed_form(alpha1, alphap, p) -> float:
+    """Holder's ((E xi)**p / E xi**p)**(1/(p-1)) straight in floats, 0.0 at
+    alpha1 = 0. Its raw powers overflow or underflow at large p."""
+    if alpha1 == 0:
+        return 0.0
+    p = float(p)
+    return (float(alpha1) ** p / float(alphap)) ** (1.0 / (p - 1.0))
+
+
+def _decimal(x) -> Decimal:
+    """x as a Decimal in the current context: exact for a float or an int."""
+    if isinstance(x, Fraction):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+    return Decimal(x)
+
+
+def decimal_holder(system: EventSystem, p) -> Decimal:
+    """Holder's bound in 60-digit decimal arithmetic over the naive occupancy
+    profile, from p itself (a float, int or Fraction), 0 at E xi = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        levels = enumerate(naive_occupancy_profile(system))
+        profile = [(Decimal(i), _decimal(w)) for i, w in levels if i and w]
+        if not profile:
+            return Decimal(0)
+        p = _decimal(p)
+        alpha1 = sum(w * i for i, w in profile)
+        alphap = sum(w * i**p for i, w in profile)
+        return (alpha1**p / alphap) ** (1 / (p - 1))
 
 
 def naive_per_event_lower_three(system: EventSystem) -> Fraction:
@@ -479,6 +529,23 @@ def closed_form_upper_simple(moments, variant: str):
                 ratio = _power_quotient(x, 1, a, rho)
             total -= d1 * w * ratio / big_b
     return total
+
+
+def closed_form_lower_two_simple_below_one(moments) -> float:
+    """The window-free two-moment bound's former form at rho < 1: the core
+    s1**((a+rho)/rho) / s2**(a/rho) times (1 - w)/(1 - theta), where theta is
+    the fractional part of delta = (s2/s1)**(1/rho) and w the refined weight
+    of floor(delta) + 1, both clamped to [0, 1 - 1e-12]. Float moments with
+    s1 > 0; since x**rho is concave, w >= theta and the factor is <= 1."""
+    a, rho = float(moments.params.a), float(moments.params.rho)
+    s1, s2 = map(float, moments.sbar)
+    core = s1 ** ((a + rho) / rho) / s2 ** (a / rho)
+    ratio = s2 / s1
+    delta = ratio ** (1 / rho)
+    b = math.floor(delta)
+    w = (ratio - b**rho) / ((b + 1) ** rho - b**rho)
+    theta, w = (min(max(x, 0.0), 1 - 1e-12) for x in (delta - b, w))
+    return core * (1 - w) / (1 - theta)
 
 
 def brute_force_moments(vector, a, rho, ell) -> tuple[Fraction, ...]:

@@ -549,14 +549,17 @@ BC_ARGV = ["bc", "--model", "independent", "--p", "1/2", "--n", "3", "--n", "5"]
 def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
     """A command imports only the modules it runs, and never ``dataclasses``:
     the report records build their dataclass metadata on the first read, once,
-    and keep their docstrings."""
+    and keep their docstrings. Modules the bare interpreter has loaded at
+    start-up (a site ``.pth`` file may import ``inspect``) are not counted."""
     if argv[0] == "bounds":
         argv = [*argv, "--input", s3_path]
     out = run_fresh(
         f"""
-        import sys, unionbounds.cli
+        import sys
+        at_start = set(sys.modules)
+        import unionbounds.cli
         assert unionbounds.cli.main({argv!r}) == 0
-        print([name for name in {ON_FIRST_USE!r} if name in sys.modules])
+        print([m for m in {ON_FIRST_USE!r} if m in sys.modules and m not in at_start])
         import dataclasses
         from unionbounds.borel_cantelli import BCEstimate
         from unionbounds.unions import BoundEntry, BoundReport
@@ -571,6 +574,21 @@ def test_command_loads_only_what_it_runs(argv, loaded, s3_path):
         """
     )
     assert out[-2:] == [repr(loaded), "built once"]
+
+
+def test_holder_loads_no_general_bound():
+    """Holder's bound evaluates a scalar bound of ``bounds``: it never loads
+    the certified general bound, up to p = 1000."""
+    out = run_fresh(
+        """
+        import sys
+        from unionbounds import holder_union_bound, random_system
+        system = random_system(1, 40, 64, "dense")
+        print(all(0 < holder_union_bound(system, p) <= 1 for p in (1.001, 2, 1000)))
+        print("unionbounds._general" in sys.modules)
+        """
+    )
+    assert out[-2:] == ["True", "False"]
 
 
 RECORDS = {

@@ -17,12 +17,14 @@ import pytest
 from conftest import (
     brute_force_moments,
     closed_form_lower_simple,
+    closed_form_lower_two_simple_below_one,
     closed_form_lower_three,
     closed_form_lower_two,
     closed_form_upper_simple,
     closed_form_upper_three,
     closed_form_upper_two,
     exhaustive_index_search,
+    holder_closed_form,
     power_feature_matrix,
 )
 from unionbounds import (
@@ -32,7 +34,6 @@ from unionbounds import (
     MomentConsistencyError,
     MomentVector,
     general_bound,
-    holder_lower_bound,
     lower_bound_three_moments,
     lower_bound_two_moments,
     lower_bound_two_moments_simple,
@@ -398,17 +399,27 @@ def test_lower_two_simple_never_exceeds_refined():
 
 
 def test_lower_two_simple_rho_below_one_correction():
+    # below rho = 1 the bound keeps its one formula, the core: valid, no
+    # tighter than the refined bound, and at least the former rho < 1 form,
+    # which scaled the core by (1 - w)/(1 - theta) <= 1 (a conftest oracle)
     rng = random.Random(43)
-    for _ in range(50):
-        n = rng.randint(2, 6)
+    tighter = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
         values = [rng.random() for _ in range(n)]
-        params = ExponentParams(1.0, 0.5, 2, n)
-        moments = MomentVector.from_vector(values, params)
+        a, rho = rng.choice((0.5, 1.0, 1.5, 2.0, 3.7)), rng.choice((0.1, 0.3, 0.5, 0.9))
+        moments = MomentVector.from_vector(values, ExponentParams(a, rho, 2, n))
         simple = lower_bound_two_moments_simple(moments)
         refined = lower_bound_two_moments(moments)
-        total = sum(values)
-        assert simple <= refined + 1e-9
-        assert refined <= total + 1e-9 * max(1.0, total)
+        former = closed_form_lower_two_simple_below_one(moments)
+        total = math.fsum(values)
+        assert type(simple) is float
+        assert simple <= total * (1 + 1e-12), (values, a, rho)
+        assert simple <= refined * (1 + 1e-12), (values, a, rho)
+        assert simple >= former * (1 - 1e-12), (values, a, rho)
+        assert refined <= total * (1 + 1e-9)
+        tighter += simple > former * (1 + 1e-9)
+    assert tighter > 300
 
 
 def test_lower_two_simple_exact_integer_exponent_ratio():
@@ -419,10 +430,29 @@ def test_lower_two_simple_exact_integer_exponent_ratio():
         e = a // rho
         assert type(value) is Fraction and value == s1 ** (e + 1) / s2**e
     # rho does not divide a: float powers, pinned bit for bit
-    pins = ((1, 2, "0x1.1e3779b97f4a8p+0"), (3, 2, "0x1.3e04c02370fd6p-1"))
+    pins = ((1, 2, "0x1.1e3779b97f4a8p+0"), (3, 2, "0x1.3e04c02370fd7p-1"))
     for a, rho, bits in pins:
         value = lower_bound_two_moments_simple(make_moments([s1, s2], a, rho))
         assert type(value) is float and value.hex() == bits
+
+
+def test_lower_two_simple_neither_overflows_nor_underflows():
+    # s1 * (s1/s2)**(a/rho): the power of s1/s2 <= 1 cannot overflow, and
+    # where s1/s2 underflows it comes from the logs of the exact integers or
+    # of the floats. The raw powers s1**((a+rho)/rho) and s2**(a/rho)
+    # overflow in the first three cases.
+    value = lower_bound_two_moments_simple(
+        make_moments([Fraction(1), Fraction(10**400)], 1, 3, n=10**134)
+    )
+    assert type(value) is float
+    assert value == pytest.approx(10 ** (-400 / 3), rel=1e-13)
+    for sbar, a, rho, n, want in (
+        ((1e200, 1e300), 2.0, 1.0, 10**100, 1.0),
+        ((1e300, 1e300), 3.7, 0.5, 2, 1e300),
+        ((1e-10, 1e298), 1.0, 2.0, 13 * 10**153, 1e-164),  # s1/s2 is subnormal
+    ):
+        value = lower_bound_two_moments_simple(make_moments(sbar, a, rho, n))
+        assert value == pytest.approx(want, rel=1e-13)
 
 
 def test_simplified_bounds_degenerate_returns_keep_value_and_type():
@@ -1159,23 +1189,17 @@ def test_delta_decomposition_invariants_seeded(monkeypatch):
 
 
 def test_holder_lower_bound_values():
-    assert holder_lower_bound(Fraction(1), Fraction(5, 2), 3) == pytest.approx(
-        0.6324555320336759
-    )
-    assert holder_lower_bound(Fraction(1), Fraction(3, 2), 2) == pytest.approx(2 / 3)
-    assert holder_lower_bound(0, 1, 2) == 0.0
-
-
-def test_holder_lower_bound_errors():
-    with pytest.raises(ValueError):
-        holder_lower_bound(1, 1, 1)
-    with pytest.raises(ValueError):
-        holder_lower_bound(1, 0, 2)
-    with pytest.raises(ValueError):
-        holder_lower_bound(-1, 1, 2)
-    for alpha1, alphap in (
-        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf),
-        (1, -math.inf), (True, 2), (1, True),
+    # Holder's bound from (E xi, E xi**p) is the window-free bound at
+    # (a, rho) = (1, p - 1), and equals its closed form
+    for alpha1, alphap, p, want in (
+        (Fraction(1), Fraction(5, 2), 3, 0.6324555320336759),
+        (Fraction(1), Fraction(3, 2), 2, 2 / 3),
+        (Fraction(1, 2), Fraction(7, 8), 2.5, None),
+        (0.75, 0.9, 1.25, None),
+        (Fraction(0), Fraction(0), 3, 0.0),
     ):
-        with pytest.raises(ValueError, match="moments must be finite numbers"):
-            holder_lower_bound(alpha1, alphap, 2)
+        value = lower_bound_two_moments_simple(make_moments([alpha1, alphap], 1, p - 1))
+        closed = holder_closed_form(alpha1, alphap, p)
+        assert float(value) == pytest.approx(closed, rel=1e-15, abs=0)
+        if want is not None:
+            assert float(value) == pytest.approx(want, rel=1e-15)

@@ -3,6 +3,7 @@ classic comparators and the moment bounds, and the report harness."""
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -12,13 +13,16 @@ import unionbounds.bounds as bounds_module
 import unionbounds.unions as unions_module
 from conftest import (
     moment_vector_row,
+    decimal_holder,
+    holder_closed_form,
     naive_chung_erdos,
+    naive_dawson_sankoff,
     naive_de_caen,
     naive_kat,
+    naive_kwerel_upper,
     naive_per_event_lower_three,
     naive_per_event_upper_three,
     naive_power_moment,
-    profile_holder_moment,
     profile_moment_vector,
     sample_systems,
 )
@@ -32,9 +36,9 @@ from unionbounds import (
     build_system,
     compare_bounds,
     exact_union_probability,
-    holder_lower_bound,
     holder_union_bound,
     lower_bound_two_moments,
+    lower_bound_two_moments_simple,
     occupancy_moment_vector,
     per_event_moments,
     random_system,
@@ -209,8 +213,6 @@ def test_holder_rejects_non_finite_p(s2):
     for bad in (math.inf, math.nan, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             holder_union_bound(s2, bad)
-        with pytest.raises(ValueError, match="finite"):
-            holder_lower_bound(Fraction(1), Fraction(3, 2), bad)
 
 
 def test_occupancy_moments_equal_the_profile_loop_bit_for_bit():
@@ -225,11 +227,71 @@ def test_occupancy_moments_equal_the_profile_loop_bit_for_bit():
             want = profile_moment_vector(system, a, rho, 3)
             assert got == want
             assert [type(x) for x in got] == [type(x) for x in want]
-        for p in (2.5, 1.7, Fraction(7, 3)):
-            want = holder_lower_bound(
-                naive_power_moment(system, 1), profile_holder_moment(system, p), p
-            )
-            assert holder_union_bound(system, p) == want
+
+
+HOLDER_P = (1.001, 1.5, 2, Fraction(7, 3), 3, 10, 1000)
+
+
+def test_holder_union_bound_is_the_simple_row():
+    # Holder is the window-free bound on the occupancy vector at (1, p - 1),
+    # bit for bit, read from the naive profile moments
+    for system in sample_systems(40, seed=139):
+        for p in HOLDER_P:
+            params = ExponentParams(1, p - 1, 2, system.n_events)
+            moments = MomentVector(profile_moment_vector(system, 1, p - 1, 2), params)
+            want = float(lower_bound_two_moments_simple(moments))
+            assert holder_union_bound(system, p) == want, (system, p)
+
+
+def test_holder_union_bound_against_a_decimal_reference():
+    # no overflow and no underflow up to p = 1000, where the closed form's
+    # raw powers fail; a p near 1 amplifies the rounding of s1/s2 by 1/(p-1)
+    rng = random.Random(149)
+    systems = [
+        random_system(7_000 + i, rng.randint(1, 40), rng.randint(1, 64), profile)
+        for i, profile in enumerate(("dense", "sparse", "disjoint-ish") * 14)
+    ]
+    closed_failed = 0
+    for p in (1.001, 1.01, 1.5, 2, Fraction(7, 3), 3, 10, 200, 1000):
+        tol = 1e-12 if p < 1.5 else 2e-15
+        for system in systems:
+            got, want = holder_union_bound(system, p), decimal_holder(system, p)
+            assert type(got) is float
+            assert got == want == 0 or abs(Decimal(got) / want - 1) <= tol, (p, got)
+            alpha1 = naive_power_moment(system, 1)
+            try:
+                closed = holder_closed_form(alpha1, naive_power_moment(system, p), p)
+            except OverflowError:
+                closed_failed += 1
+                continue
+            if p in (1.5, 2, 3):  # the closed form where its powers fit
+                assert closed == pytest.approx(got, rel=1e-14, abs=0)
+            closed_failed += alpha1 != 0 and closed == 0
+    assert closed_failed >= 10
+
+
+def test_holder_union_bound_edge_cases(s2):
+    # no events, and events that are all empty: 0.0; a p that is not a
+    # finite number above 1 raises, whatever the system
+    empty = (build_system(["1/2", "1/2"], []), build_system(["1/2", "1/2"], [[], []]))
+    for system in empty:
+        for p in (1.5, 2, 1000):
+            value = holder_union_bound(system, p)
+            assert type(value) is float and value == 0.0
+    for system in (*empty, s2):
+        for bad in (1, 0.5, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+                holder_union_bound(system, bad)
+
+
+def test_classic_occupancy_rows_equal_their_closed_forms():
+    # at (1,1) the occupancy two-moment rows are Dawson-Sankoff's lower
+    # bound and the S1 - 2 S2/N upper bound (Kwerel; Sathe, Pradhan & Shah)
+    for system in sample_systems(200, seed=151):
+        lower = union_bound(system, "occupancy_lower_two", 1, 1)
+        upper = union_bound(system, "occupancy_upper_two", 1, 1)
+        assert type(lower) is Fraction and lower == naive_dawson_sankoff(system)
+        assert type(upper) is Fraction and upper == naive_kwerel_upper(system)
 
 
 def test_holder_never_beats_chung_erdos():
