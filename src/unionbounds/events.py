@@ -282,10 +282,18 @@ def random_system(
 ) -> EventSystem:
     """Deterministic pseudo-random system: same arguments, same system.
 
-    Profiles: "dense" puts each atom in each event with chance 1/2; "sparse"
-    keeps expected event sizes near two atoms; "disjoint-ish" deals the atoms
-    into nearly disjoint blocks with light leakage.
+    The system is built straight from the draws: one Fraction per distinct
+    weight, shared by the atoms that drew it, and events as the sorted tuples
+    of distinct atoms that build_system would give. The seed and both counts
+    must be ints, not bools; a negative seed gives the system of its absolute
+    value, as random.Random does. Profiles: "dense" puts each atom in each
+    event with chance 1/2; "sparse" keeps expected event sizes near two
+    atoms; "disjoint-ish" deals the atoms into nearly disjoint blocks with
+    light leakage.
     """
+    for name, value in (("seed", seed), ("n_events", n_events), ("n_atoms", n_atoms)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, not {value!r}")
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
     if n_atoms < 1:
@@ -295,26 +303,23 @@ def random_system(
     if not any(raw):
         raw[rng.randrange(n_atoms)] = 1
     total = sum(raw)
-    weights = [Fraction(value, total) for value in raw]
-    events: list[list[int]]
-    if profile == "dense":
+    shared = [Fraction(value, total) for value in range(10)]
+    weights = tuple([shared[value] for value in raw])
+    draw = rng.random
+    if profile == "dense" or profile == "sparse":
+        chance = 0.5 if profile == "dense" else min(0.5, 2.0 / n_atoms)
         events = [
-            [atom for atom in range(n_atoms) if rng.random() < 0.5]
-            for _ in range(n_events)
-        ]
-    elif profile == "sparse":
-        chance = min(0.5, 2.0 / n_atoms)
-        events = [
-            [atom for atom in range(n_atoms) if rng.random() < chance]
+            tuple([atom for atom in range(n_atoms) if draw() < chance])
             for _ in range(n_events)
         ]
     elif profile == "disjoint-ish":
         order = list(range(n_atoms))
         rng.shuffle(order)
-        events = [list(order[k::n_events]) for k in range(n_events)]
-        for event in events:
-            if rng.random() < 0.25:
-                event.append(rng.randrange(n_atoms))
+        blocks = [order[k::n_events] for k in range(n_events)]
+        for block in blocks:
+            if draw() < 0.25:
+                block.append(rng.randrange(n_atoms))
+        events = [tuple(sorted(set(block))) for block in blocks]
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    return build_system(weights, events)
+    return EventSystem(weights, tuple(events))

@@ -1,6 +1,7 @@
 """Tests for the finite-probability-space layer, checked against the naive
 set-based oracles in conftest."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from unionbounds import (
     power_moments,
     random_system,
 )
+from unionbounds.cli import serialize_system
 
 
 def test_build_system_parses_weight_formats():
@@ -379,16 +381,29 @@ def test_random_system_determinism():
     c = random_system(43, 4, 20, "dense")
     assert a == b
     assert a != c
+    assert random_system(-42, 4, 20, "dense") == a  # random.Random takes abs(seed)
 
 
 def test_random_system_profiles_are_valid():
-    for profile in ("dense", "sparse", "disjoint-ish"):
-        system = random_system(7, 5, 30, profile)
+    """What build_system would check or normalise holds as generated."""
+    rng = random.Random(32)
+    for i in range(240):
+        profile = ("dense", "sparse", "disjoint-ish")[i % 3]
+        n_events = rng.randint(1, 30)
+        n_atoms = rng.choice([1, 2, rng.randint(1, 8), rng.randint(1, 120)])
+        system = random_system(rng.randrange(-(2**40), 2**40), n_events, n_atoms, profile)
+        assert system == build_system(system.weights, system.events)
         assert sum(system.weights, Fraction(0)) == 1
-        assert system.n_events == 5
+        assert all(type(w) is Fraction and w >= 0 for w in system.weights)
+        # equal weights are one object, as build_system's interning gives them
+        assert len({id(w) for w in system.weights}) == len(set(system.weights))
+        assert type(system.weights) is tuple and type(system.events) is tuple
+        assert system.n_events == n_events
         for event in system.events:
-            assert all(0 <= atom < 30 for atom in event)
+            assert type(event) is tuple
+            assert all(type(atom) is int for atom in event)
             assert list(event) == sorted(set(event))
+            assert all(0 <= atom < n_atoms for atom in event)
 
 
 def test_random_system_errors():
@@ -398,3 +413,42 @@ def test_random_system_errors():
         random_system(1, 5, 0)
     with pytest.raises(ValueError):
         random_system(1, 2, 5, "bogus")
+    for args in (
+        (None, 2, 3),  # would seed from the operating system's entropy
+        (True, 2, 3),
+        (1.0, 2, 3),
+        ("7", 2, 3),
+        (1, True, 3),
+        (1, 2, True),
+        (1, 2.0, 3),
+        (1, 2, 3.0),
+        (1, Fraction(2), 3),
+    ):
+        with pytest.raises(ValueError, match="must be an int"):
+            random_system(*args)
+
+
+# sha256 of cli.serialize_system(random_system(*case)): the generator's output
+# is byte-identical across versions and interpreters. (2, 3, 1) draws a single
+# 0 and takes the randrange fallback; (0, 12, 5) and (16, 9, 4) have empty
+# events and leakage draws that repeat an atom; the last two are the CLI
+# benchmark shapes.
+GENERATOR_DIGESTS = {
+    (2, 3, 1, "dense"): "56cb5ca4ca539c8db09d30864abb586c5bc5237a6f51843d2c7cc18137b5c16a",
+    (2, 3, 1, "sparse"): "56cb5ca4ca539c8db09d30864abb586c5bc5237a6f51843d2c7cc18137b5c16a",
+    (2, 3, 1, "disjoint-ish"): "56cb5ca4ca539c8db09d30864abb586c5bc5237a6f51843d2c7cc18137b5c16a",
+    (0, 12, 5, "disjoint-ish"): "aa8b21bb1fe31a6de9a8d3822b83b51304ee7f69290022ed25d9ffef43c566ff",
+    (16, 9, 4, "disjoint-ish"): "d321fee93e8e1eb0300d1beaefba05905034e989fd1c5e2f88f0b7c7ba2de9a4",
+    (0, 5, 30, "dense"): "a5bb266c81dd83ad626b8eb870fafd722d024867cb009f8df83adb793dbe7e25",
+    (1, 8, 40, "sparse"): "ec255cfc485c86d6794f3007be040dfdee5cf5bd3fa8562eaf6168277f4d3c37",
+    (4, 6, 50, "disjoint-ish"): "839b02ea7678ec77754201f2222a52cdf09642d5c07434a87b029f004c85d276",
+    (-5, 4, 20, "dense"): "53052d9af8aa979a93316f0722b65a847f4545e505751ecfb13118d6090ed406",
+    (7, 300, 3000, "sparse"): "a16640f670baf1fc3583175d8881e5093cbe2557ef9ca7c75b42b7e933c93272",
+    (7, 20, 1000, "dense"): "113947eb2f85562db35d859712000f52b484182afa17820219f2b79ad0821821",
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_DIGESTS, ids=lambda case: "_".join(map(str, case)))
+def test_random_system_stream_is_pinned(case):
+    text = serialize_system(random_system(*case))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[case]
